@@ -5,8 +5,8 @@ from .terms import (Term, ParseError, name, var, pub, sign, blind, pair, enc,
                     substitute, equal_mod_ac, e_factors, saturate, TermIndex)
 from .rewriting import (Theory, RewriteRule, NormalizationBudgetExceeded,
                         empty_theory, ac_theory, xor_theory, ag_theory,
-                        make_theories, normalize, is_normal, match_mod_ac,
-                        one_step_rewrites, Abstraction, abstract)
+                        make_theories, normalize, is_normal, rewrite_normalize,
+                        match_mod_ac, one_step_rewrites, Abstraction, abstract)
 from .elementary import ElemWitness, elem_deduce, replay
 from .engine import OracleBoundExceeded, applicable, deduce, deducible, nd_closure_oracle, right_deduce
 from .proofs import (Derivation, Sequent, check, find_error, weaken,

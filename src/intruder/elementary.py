@@ -7,18 +7,19 @@ must contain at least one hole, so the group unit is only deducible from a
 non-empty Gamma, through the paired context x + inv(x) filled twice with the
 same member (and x + x for exclusive-or).
 
-All decisions run on variable-abstracted problems: alien subterms collapse
-to class variables, after which membership, a natural-number multiset
+All decisions run on variable-abstracted problems: each term is read once
+per problem as an atom vector whose alien atoms are class variables
+(Abstraction.vector), after which membership, a natural-number multiset
 equation, GF(2) elimination, or exact integer elimination settles the
 question.  Inputs are expected in normal form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .rewriting import Abstraction, Theory, abstract, as_theories, normalize
-from .terms import EAPP, NAME, Term, VAR, eapp
+from .rewriting import Abstraction, Theory, as_theories, normalize
+from .terms import Term, eapp
 
 
 @dataclass(frozen=True)
@@ -104,43 +105,13 @@ def _cited(elem: Term, gamma: set[Term]) -> None:
         raise ValueError(f"witness cites {elem} outside Gamma")
 
 
-# --- vector extraction on abstracted pure terms ------------------------------
-
-
-def _vec(t: Term, theory: Theory, table: Abstraction, signed: bool) -> dict[Term, int]:
-    """Atom-count vector of the abstraction of ``t`` for one constituent."""
-    pure = abstract(t, theory, table)
-    out: dict[Term, int] = {}
-    for part, coeff in _parts(pure, theory, signed):
-        out[part] = out.get(part, 0) + coeff
-        if not out[part]:
-            del out[part]
-    return out
-
-
-def _parts(pure: Term, theory: Theory, signed: bool):
-    op = theory.ac_symbol
-    if pure.kind == EAPP and pure.sym == op:
-        for a in pure.args:
-            yield from _parts(a, theory, signed)
-    elif pure.kind == EAPP and pure.sym == "inv" and signed:
-        ((atom, c),) = list(_parts(pure.args[0], theory, signed))
-        yield atom, -c
-    elif pure.kind == EAPP and not pure.args:  # the unit constant
-        return
-    elif pure.kind in (NAME, VAR):
-        yield pure, 1
-    else:
-        raise ValueError(f"not a pure abstracted term: {pure}")
-
-
 # --- backends ----------------------------------------------------------------
 
 
 def _decide_ac(theory: Theory, gamma: list[Term], goal: Term,
                table: Abstraction) -> ElemWitness | None:
-    target = _vec(goal, theory, table, signed=False)
-    vecs = [_vec(g, theory, table, signed=False) for g in gamma]
+    target = table.vector(goal, theory)
+    vecs = [table.vector(g, theory) for g in gamma]
     counts = _solve_nat(vecs, target)
     if counts is None:
         return None
@@ -148,7 +119,7 @@ def _decide_ac(theory: Theory, gamma: list[Term], goal: Term,
     return ElemWitness(theory.name, "ac", entries)
 
 
-def _solve_nat(vecs: list[dict[Term, int]], target: dict[Term, int]) -> list[int] | None:
+def _solve_nat(vecs: list[Mapping[Term, int]], target: Mapping[Term, int]) -> list[int] | None:
     """Natural-number solution of sum(c_i * vec_i) = target, exact and total >= 1."""
 
     def rec(i: int, remaining: dict[Term, int]) -> list[int] | None:
@@ -183,19 +154,19 @@ def _solve_nat(vecs: list[dict[Term, int]], target: dict[Term, int]) -> list[int
 
 def _decide_xor(theory: Theory, gamma: list[Term], goal: Term,
                 table: Abstraction) -> ElemWitness | None:
-    target = _vec(goal, theory, table, signed=False)
+    target = table.vector(goal, theory)
     if not target:  # the goal is the zero constant
         if gamma:
             g = gamma[0]
             return ElemWitness(theory.name, "xor", (g, g))
         return None
-    atoms = sorted(set(target) | {a for g in gamma for a in _vec(g, theory, table, False)},
+    atoms = sorted(set(target) | {a for g in gamma for a in table.vector(g, theory)},
                    key=lambda t: t.key)
     bit = {a: 1 << i for i, a in enumerate(atoms)}
     masks = []
     for g in gamma:
         m = 0
-        for a in _vec(g, theory, table, signed=False):
+        for a in table.vector(g, theory):
             m |= bit[a]
         masks.append(m)
     want = 0
@@ -233,13 +204,13 @@ def _solve_gf2(masks: list[int], target: int) -> list[int] | None:
 
 def _decide_ag(theory: Theory, gamma: list[Term], goal: Term,
                table: Abstraction) -> ElemWitness | None:
-    target = _vec(goal, theory, table, signed=True)
+    target = table.vector(goal, theory)
     if not target:  # the goal is the group unit
         if gamma:
             g = gamma[0]
             return ElemWitness(theory.name, "ag", ((g, 1), (g, -1)))
         return None
-    vecs = [_vec(g, theory, table, signed=True) for g in gamma]
+    vecs = [table.vector(g, theory) for g in gamma]
     atoms = sorted(set(target) | {a for v in vecs for a in v}, key=lambda t: t.key)
     rows = [[v.get(a, 0) for v in vecs] for a in atoms]
     b = [target.get(a, 0) for a in atoms]
@@ -255,7 +226,8 @@ def _solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
 
     Column operations are accumulated in a unimodular transform so a solution
     of the triangular system pulls back to the original variables.  Exact
-    integer arithmetic throughout.
+    integer arithmetic throughout.  Raises RuntimeError if the solution does
+    not satisfy the original system, which would be a bug here.
     """
     m = len(rows)
     n = len(rows[0]) if rows else 0
@@ -309,5 +281,6 @@ def _solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
             return None
     x = [sum(u[i][j] * y[j] for j in range(n)) for i in range(n)]
     for r in range(m):  # exactness check is cheap at this scale
-        assert sum(rows[r][i] * x[i] for i in range(n)) == b[r]
+        if sum(rows[r][i] * x[i] for i in range(n)) != b[r]:
+            raise RuntimeError("integer elimination returned an inexact solution")
     return x

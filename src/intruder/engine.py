@@ -15,8 +15,9 @@ from typing import Iterable
 
 from .elementary import elem_deduce
 from .proofs import Derivation, Sequent
-from .rewriting import Abstraction, Theory, as_theories, normalize
-from .terms import CAPP, EAPP, Term, capp, e_factors, eapp, saturate, sign
+from .rewriting import (Abstraction, Theory, as_theories, normalize, theory_vector,
+                        vector_term)
+from .terms import CAPP, Term, capp, e_factors, eapp, saturate, sign
 
 _RIGHT_RULE = {"pair": "p_R", "enc": "e_R", "sign": "sign_R", "blind": "blind_R"}
 
@@ -232,8 +233,10 @@ def nd_closure_oracle(gamma: Iterable[Term], goal: Term, theories,
 
     Analysis rules run unrestricted inside the known set; introduction rules
     only target saturated subterms, which keeps the closure finite. Equational
-    steps enumerate small combinations of known terms directly (fold, then
-    normalize), so nothing here depends on the elementary solvers. Exact for
+    steps enumerate small coefficient combinations of known terms as atom
+    vectors (rewriting.theory_vector and vector_term, the arithmetic that
+    normalize evaluates and that the tests check against rule-based
+    rewriting), so nothing here depends on the elementary solvers. Exact for
     the empty theory and exclusive-or; for AC it is exact whenever coeff_bound
     is at least the largest multiplicity appearing in the saturated set, and
     for abelian groups coefficients beyond coeff_bound are out of reach.
@@ -300,54 +303,12 @@ def _close_once(known: set[Term], targets: frozenset[Term], theories,
     return new
 
 
-def _atom_vector(t: Term, th: Theory) -> dict[Term, int]:
-    """Multiplicities of the maximal non-theory subterms of a normal term.
-
-    Interprets the theory arithmetic directly, without the rewrite engine or
-    the elementary solvers: sums concatenate, inv flips sign, units vanish,
-    everything else is an atom.
-    """
-    out: dict[Term, int] = {}
-    stack = [(t, 1)]
-    while stack:
-        u, sgn = stack.pop()
-        if u.kind == EAPP and u.sym in th.symbols:
-            if u.sym == th.ac_symbol:
-                stack.extend((a, sgn) for a in u.args)
-            elif u.sym == "inv":
-                stack.append((u.args[0], -sgn))
-            # unit constants contribute nothing
-        else:
-            out[u] = out.get(u, 0) + sgn
-    return out
-
-
-def _vector_term(counts: dict[Term, int], th: Theory) -> Term | None:
-    parts: list[Term] = []
-    for atom, c in counts.items():
-        if th.backend == "xor":
-            c %= 2
-        if c > 0:
-            parts.extend([atom] * c)
-        elif c < 0:
-            parts.extend([eapp("inv", (atom,))] * (-c))
-    if not parts:
-        if th.backend == "xor":
-            return eapp("0", ())
-        if th.backend == "ag":
-            return eapp("1", ())
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return eapp(th.ac_symbol, tuple(parts))
-
-
 def _equational_step(known: set[Term], targets: frozenset[Term], th: Theory,
                      theories, coeff_bound: int) -> Iterable[Term]:
     if th.backend == "empty":
         return
     members = sorted(known, key=lambda t: t.key)
-    vectors = [_atom_vector(m, th) for m in members]
+    vectors = [theory_vector(m, th) for m in members]
     n = len(members)
     if th.backend == "xor":
         lo, hi = 0, 1
@@ -372,6 +333,6 @@ def _equational_step(known: set[Term], targets: frozenset[Term], th: Theory,
             if c:
                 for atom, k in vec.items():
                     acc[atom] = acc.get(atom, 0) + c * k
-        t = _vector_term(acc, th)
+        t = vector_term(acc, th)
         if t is not None and t in targets:
             yield t

@@ -1,9 +1,17 @@
-"""Equational theories and rewriting modulo AC.
+"""Equational theories, normal forms and AC rewriting.
 
 A theory bundles a signature, at most one AC symbol, an AC-convergent rule
-set and the tag of its elementary-deduction backend.  Normalization rewrites
-with the rules plus their AC extensions (lhs + z -> rhs + z for AC-headed
-left sides), which realizes class rewriting on the flattened representation.
+set and the tag of its elementary-deduction backend.  normalize() computes
+normal forms by evaluation: a sum under xor or an abelian group is read as a
+vector of atom counts (mod 2, or signed integers), reduced and rebuilt, and
+plain AC terms are canonical already in the flattened representation.  The
+same vectors (theory_vector, vector_term) serve the elementary backends and
+the engine's reference closure.
+
+rewrite_normalize() rewrites with the rules plus their AC extensions
+(lhs + z -> rhs + z for AC-headed left sides), which realizes class
+rewriting on the flattened representation.  It is exponential in the width
+of a sum and serves as the test oracle for normalize().
 """
 from __future__ import annotations
 
@@ -11,10 +19,11 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .terms import (
-    AC_SYMBOLS, EAPP, NAME, VAR, Term, capp, eapp, substitute, var, variables,
+    AC_SYMBOLS, CAPP, EAPP, NAME, VAR, Term, capp, eapp, substitute, var, variables,
 )
 
 
@@ -242,7 +251,138 @@ def _nonempty_submultisets(bag: Counter) -> Iterator[Counter]:
         yield Counter({u: c for (u, _), c in zip(items, counts) if c})
 
 
-# --- normalization ----------------------------------------------------------
+# --- normalization by evaluation --------------------------------------------
+
+
+def _unit(theory: Theory) -> Term | None:
+    for sym, arity in theory.symbols.items():
+        if arity == 0:
+            return eapp(sym, ())
+    return None
+
+
+def _read(t: Term, sgn: int, theory: Theory, out: dict[Term, int]) -> None:
+    """Add ``sgn`` times the atom vector of ``t`` to ``out``, left to right."""
+    stack = [(t, sgn)]
+    while stack:
+        u, s = stack.pop()
+        if u.kind == EAPP and u.sym in theory.symbols:
+            if u.sym == theory.ac_symbol:
+                stack.extend((a, s) for a in reversed(u.args))
+                continue
+            if u.sym == "inv":
+                stack.append((u.args[0], -s))
+                continue
+            if not u.args:  # the unit
+                continue
+        out[u] = out.get(u, 0) + s
+
+
+def _reduced(counts: dict[Term, int], theory: Theory) -> dict[Term, int]:
+    if theory.backend == "xor":
+        return {a: 1 for a, c in counts.items() if c % 2}
+    return {a: c for a, c in counts.items() if c}
+
+
+def theory_vector(t: Term, theory: Theory) -> dict[Term, int]:
+    """The atoms of ``t`` in the theory's arithmetic, with their multiplicities.
+
+    The AC symbol adds, ``inv`` negates (abelian groups), units vanish and
+    every other term is an atom.  Counts are reduced: mod 2 for xor, signed
+    integers for ag, naturals for ac; atoms that cancel are dropped.  Atoms
+    come in order of first occurrence, depth first and left to right.
+    """
+    out: dict[Term, int] = {}
+    _read(t, 1, theory, out)
+    return _reduced(out, theory)
+
+
+def vector_term(counts: dict[Term, int], theory: Theory) -> Term | None:
+    """The normal term of an atom vector: a sum of atoms, ``inv`` for negative
+    counts (mod 2 for xor).  An empty vector gives the theory's unit, or None
+    when it has none (plain AC)."""
+    parts: list[Term] = []
+    for atom, c in _reduced(counts, theory).items():
+        parts.extend([atom] * c if c > 0 else [eapp("inv", (atom,))] * -c)
+    if not parts:
+        return _unit(theory)
+    return parts[0] if len(parts) == 1 else eapp(theory.ac_symbol, parts)
+
+
+@lru_cache(maxsize=None)
+def _evaluation(theories: tuple[Theory, ...]) -> tuple[dict[str, Theory], frozenset[str]]:
+    """(head symbol -> the theory that evaluates it, symbols no evaluator covers).
+
+    Only the built-in xor and ag rule sets are evaluated; a theory without
+    rules is canonical as it stands (plain AC, empty).  Any other rule set
+    blocks the symbols it owns or rewrites at.
+    """
+    evaluated: dict[str, Theory] = {}
+    blocked: set[str] = set()
+    for th in theories:
+        if not th.rules:
+            continue
+        if (th.backend in ("xor", "ag") and th.ac_symbol in AC_SYMBOLS
+                and th.rules == THEORY_BUILDERS[th.backend](th.ac_symbol).rules):
+            heads = (th.ac_symbol, "inv") if th.backend == "ag" else (th.ac_symbol,)
+            for sym in heads:
+                if sym in evaluated:
+                    raise ValueError(f"theories {evaluated[sym].name} and {th.name} "
+                                     f"both interpret {sym!r}")
+                evaluated[sym] = th
+            continue
+        if any(r.lhs.kind in (NAME, VAR) for r in th.rules):
+            raise ValueError(f"cannot evaluate the rules of theory {th.name!r}")
+        blocked |= th.symbols.keys() | {r.lhs.sym for r in th.rules}
+    return evaluated, frozenset(blocked)
+
+
+def normalize(t: Term, theories) -> Term:
+    """The unique normal form of ``t`` modulo AC, computed by evaluation.
+
+    Bottom-up, each node headed by an xor or ag symbol (or ``inv``) reads
+    its normalized arguments as an atom vector, reduces it and rebuilds the
+    term (theory_vector, vector_term); every other node is rebuilt from its
+    normalized arguments, which re-flattens AC symbols.  Raises ValueError
+    when ``t`` contains a symbol of a theory whose rules are not a built-in
+    set, since those rules cannot be evaluated.  rewrite_normalize computes
+    the same normal form with the rules themselves.
+    """
+    evaluated, blocked = _evaluation(as_theories(theories))
+    if not evaluated and not blocked:
+        return t
+    return _eval(t, evaluated, blocked, {})
+
+
+def _eval(t: Term, evaluated: dict[str, Theory], blocked: frozenset[str],
+          memo: dict[Term, Term]) -> Term:
+    done = memo.get(t)
+    if done is not None:
+        return done
+    if t.kind in (CAPP, EAPP) and t.sym in blocked:
+        raise ValueError(f"cannot evaluate the rules for {t.sym!r}; "
+                         f"use rewrite_normalize")
+    out = t
+    if t.args:
+        args = tuple(_eval(a, evaluated, blocked, memo) for a in t.args)
+        th = evaluated.get(t.sym) if t.kind == EAPP else None
+        if th is not None:
+            counts: dict[Term, int] = {}
+            sgn = -1 if t.sym == "inv" else 1
+            for a in args:
+                _read(a, sgn, th, counts)
+            out = vector_term(counts, th)
+        elif args != t.args:
+            out = eapp(t.sym, args) if t.kind == EAPP else capp(t.sym, args)
+    memo[t] = out
+    return out
+
+
+def is_normal(t: Term, theories) -> bool:
+    return normalize(t, theories) is t
+
+
+# --- rule-based rewriting (the test oracle) -----------------------------------
 
 _EXT_VAR = var("_z")  # reserved: the parser cannot produce a leading underscore
 
@@ -268,14 +408,16 @@ def _root_step(t: Term, rules) -> Term | None:
     return None
 
 
-def normalize(t: Term, theories, max_steps: int = DEFAULT_MAX_STEPS,
-              strategy: str = "innermost") -> Term:
-    """The unique normal form of ``t`` modulo AC.
+def rewrite_normalize(t: Term, theories, max_steps: int = DEFAULT_MAX_STEPS,
+                      strategy: str = "innermost") -> Term:
+    """The normal form of ``t`` by rewriting with the rules plus their AC
+    extensions (lhs + z -> rhs + z for AC-headed left sides).
 
-    Convergence makes the redex strategy irrelevant for the result; the
-    innermost default is the fast path, the others exist so tests can check
-    exactly that.  Raises NormalizationBudgetExceeded after max_steps rule
-    applications.
+    This is the reference that normalize() is tested against; AC matching
+    makes it exponential in the width of a sum.  Convergence makes the
+    redex strategy irrelevant for the result, and both strategies exist so
+    tests can check exactly that.  Raises NormalizationBudgetExceeded after
+    max_steps rule applications.
     """
     theories = as_theories(theories)
     rules = _compiled_rules(theories)
@@ -309,7 +451,7 @@ def _norm_inner(t: Term, rules, budget, cache: dict[Term, Term]) -> Term:
     if cur.args:
         args = tuple(_norm_inner(a, rules, budget, cache) for a in cur.args)
         if args != cur.args:
-            cur = eapp(cur.sym, args) if cur.kind == EAPP else _rebuild_capp(cur, args)
+            cur = eapp(cur.sym, args) if cur.kind == EAPP else capp(cur.sym, args)
     while True:
         red = _root_step(cur, rules)
         if red is None:
@@ -317,15 +459,11 @@ def _norm_inner(t: Term, rules, budget, cache: dict[Term, Term]) -> Term:
         _spend(budget)
         if red.args:
             args = tuple(_norm_inner(a, rules, budget, cache) for a in red.args)
-            red = eapp(red.sym, args) if red.kind == EAPP else _rebuild_capp(red, args)
+            red = eapp(red.sym, args) if red.kind == EAPP else capp(red.sym, args)
         cur = red
     cache[t] = cur
     cache[cur] = cur
     return cur
-
-
-def _rebuild_capp(t: Term, args: tuple[Term, ...]) -> Term:
-    return capp(t.sym, args)
 
 
 def _step_outer(t: Term, rules) -> Term | None:
@@ -336,7 +474,7 @@ def _step_outer(t: Term, rules) -> Term | None:
         sub = _step_outer(a, rules)
         if sub is not None:
             args = t.args[:i] + (sub,) + t.args[i + 1:]
-            return eapp(t.sym, args) if t.kind == EAPP else _rebuild_capp(t, args)
+            return eapp(t.sym, args) if t.kind == EAPP else capp(t.sym, args)
     return None
 
 
@@ -350,13 +488,8 @@ def one_step_rewrites(t: Term, theories) -> frozenset[Term]:
     for i, a in enumerate(t.args):
         for sub in one_step_rewrites(a, theories):
             args = t.args[:i] + (sub,) + t.args[i + 1:]
-            out.add(eapp(t.sym, args) if t.kind == EAPP else _rebuild_capp(t, args))
+            out.add(eapp(t.sym, args) if t.kind == EAPP else capp(t.sym, args))
     return frozenset(out)
-
-
-def is_normal(t: Term, theories) -> bool:
-    theories = as_theories(theories)
-    return normalize(t, theories) is t
 
 
 # --- variable abstraction ---------------------------------------------------
@@ -367,22 +500,43 @@ class Abstraction:
 
     Keys are normal forms under the combined theory, so two terms get the
     same variable exactly when they are equal modulo E.  One table serves
-    all constituents of one problem instance.
+    all constituents of one problem instance, and memoizes per term the
+    class variable and the abstracted vector, so each term is normalized
+    and read once per problem.
     """
 
     def __init__(self, theories):
         self.theories = as_theories(theories)
         self.table: dict[Term, Term] = {}
-        self._n = 0
+        self._var: dict[Term, Term] = {}
+        self._vec: dict[tuple[Term, Theory], Mapping[Term, int]] = {}
 
     def var_for(self, t: Term) -> Term:
-        key = normalize(t, self.theories)
-        v = self.table.get(key)
+        v = self._var.get(t)
         if v is None:
-            self._n += 1
-            v = var(f"v{self._n}")
-            self.table[key] = v
+            key = normalize(t, self.theories)
+            v = self.table.get(key)
+            if v is None:
+                v = var(f"v{len(self.table) + 1}")
+                self.table[key] = v
+            self._var[t] = v
         return v
+
+    def vector(self, t: Term, theory: Theory) -> Mapping[Term, int]:
+        """theory_vector of ``t`` with alien atoms replaced by class variables.
+
+        Names stay atoms.  The result is shared between callers: read-only.
+        """
+        key = (t, theory)
+        vec = self._vec.get(key)
+        if vec is None:
+            counts: dict[Term, int] = {}
+            for atom, c in theory_vector(t, theory).items():
+                if atom.kind != NAME:
+                    atom = self.var_for(atom)
+                counts[atom] = counts.get(atom, 0) + c
+            vec = self._vec[key] = MappingProxyType(_reduced(counts, theory))
+        return vec
 
 
 def abstract(t: Term, theory: Theory, table: Abstraction) -> Term:

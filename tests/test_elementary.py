@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -85,6 +89,37 @@ def test_unit_goals_need_a_nonempty_gamma():
 def test_backend_required():
     with pytest.raises(ValueError):
         elem_deduce(Theory("odd", {}, None, (), "nosuch"), [a], a)
+
+
+_SOLVE_INT_UNDER_O = textwrap.dedent("""
+    import sys
+    from intruder.elementary import _solve_int
+
+    assert sys.flags.optimize
+    print(_solve_int([[2, 1], [0, 3]], [7, 9]))
+
+    class Skewed(list):
+        # elimination copies rows by slicing; a wrong copy stands in for a
+        # solver bug that the exactness check must catch
+        def __getitem__(self, i):
+            got = list.__getitem__(self, i)
+            return [2 * v for v in got] if isinstance(i, slice) else got
+
+    try:
+        print(_solve_int([Skewed([1])], [2]))
+    except RuntimeError:
+        print("RuntimeError")
+""")
+
+
+def test_solve_int_checks_exactness_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", _SOLVE_INT_UNDER_O], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["[2, 3]", "RuntimeError"]
 
 
 def test_replay_rejects_malformed_witnesses():

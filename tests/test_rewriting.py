@@ -3,11 +3,15 @@ import random
 
 import pytest
 
+from intruder import rewriting
+from intruder.elementary import elem_deduce
+from intruder.engine import deduce
 from intruder.rewriting import (Abstraction, NormalizationBudgetExceeded,
                                 RewriteRule, Theory, abstract, ac_theory,
                                 ag_theory, as_theories, empty_theory,
                                 is_normal, make_theories, match_mod_ac,
-                                normalize, one_step_rewrites, xor_theory)
+                                normalize, one_step_rewrites,
+                                rewrite_normalize, xor_theory)
 from intruder.terms import (blind, capp, eapp, enc, equal_mod_ac, name, pair,
                             substitute, var)
 
@@ -108,11 +112,69 @@ def test_normalize_strategy_independence(th):
     rng = random.Random(20)
     for _ in range(500):
         t = gen_theory_term(rng, th)
-        inner = normalize(t, (th,), strategy="innermost")
-        outer = normalize(t, (th,), strategy="outermost")
+        inner = rewrite_normalize(t, (th,), strategy="innermost")
+        outer = rewrite_normalize(t, (th,), strategy="outermost")
         assert inner is outer
+        assert normalize(t, (th,)) is inner
         assert normalize(inner, (th,)) is inner
         assert is_normal(inner, (th,))
+
+
+def times(*ts):
+    return eapp("*", ts)
+
+
+COMBINATIONS = [("xor",), ("ag",), ("ac",), ("xor", "ag"), ("xor", "ac"), ("ag", "ac")]
+
+# sums that collapse inside aliens, and aliens whose interiors collapse under
+# the other constituent
+COLLAPSING = {
+    ("xor",): [pair(plus(a, a), b), plus(a, enc(plus(b, zero), c), enc(b, c))],
+    ("ag",): [pair(plus(a, inv(a)), b), plus(a, inv(plus(a, b))), inv(inv(plus(a, one)))],
+    ("ac",): [plus(a, pair(plus(b, a), c), pair(plus(a, b), c))],
+    ("xor", "ag"): [plus(a, times(plus(b, c), one)), pair(times(a, inv(a)), b),
+                    plus(times(a, inv(a)), times(b, inv(b))), inv(plus(a, a)),
+                    times(plus(a, b), inv(plus(b, a, zero)))],
+    ("xor", "ac"): [times(a, plus(b, b)), plus(times(a, b), times(b, a)),
+                    plus(a, times(plus(a, zero), b), times(b, a))],
+    ("ag", "ac"): [times(plus(a, inv(a)), b), plus(times(a, b), inv(times(b, a))),
+                   plus(a, times(plus(b, one), c), inv(times(c, b)))],
+}
+
+
+def gen_mixed_term(rng, theories, depth=2):
+    """A term of depth at most ``depth`` mixing every constituent's symbols
+    with constructors, so sums sit inside aliens and aliens inside sums.
+
+    Sums take 2 or 3 arguments, so a flattened sum has at most 9 atoms: the
+    rewriting oracle's AC matching is exponential in that width.
+    """
+    leaves = [a, b, c, d] + [eapp(s, ()) for th in theories
+                             for s, ar in th.symbols.items() if ar == 0]
+    if depth <= 0 or rng.random() < 0.2:
+        return rng.choice(leaves)
+    roll = rng.random()
+    if roll < 0.65:
+        th = rng.choice(theories)
+        args = [gen_mixed_term(rng, theories, depth - 1) for _ in range(rng.randint(2, 3))]
+        return eapp(th.ac_symbol, args)
+    if roll < 0.8 and any("inv" in th.symbols for th in theories):
+        return inv(gen_mixed_term(rng, theories, depth - 1))
+    return capp(rng.choice(("pair", "enc")), (gen_mixed_term(rng, theories, depth - 1),
+                                              gen_mixed_term(rng, theories, depth - 1)))
+
+
+@pytest.mark.parametrize("names", COMBINATIONS, ids="+".join)
+def test_normalize_agrees_with_rewriting(names):
+    # evaluation is checked against rule-based rewriting, under both strategies
+    ths = make_theories(names)
+    rng = random.Random(23)
+    terms = COLLAPSING[names] + [gen_mixed_term(rng, ths) for _ in range(300)]
+    for t in terms:
+        nf = normalize(t, ths)
+        for strategy in ("innermost", "outermost"):
+            assert rewrite_normalize(t, ths, strategy=strategy) is nf, (t, strategy)
+        assert normalize(nf, ths) is nf
 
 
 def test_normalize_combined_theories():
@@ -234,14 +296,48 @@ def test_normalization_budget():
                   (RewriteRule(eapp("f", (x,)), eapp("f", (eapp("f", (x,)),))),),
                   "empty")
     with pytest.raises(NormalizationBudgetExceeded):
-        normalize(eapp("f", (a,)), (loop,), max_steps=50)
+        rewrite_normalize(eapp("f", (a,)), (loop,), max_steps=50)
     with pytest.raises(NormalizationBudgetExceeded):
-        normalize(eapp("f", (a,)), (loop,), max_steps=50, strategy="outermost")
+        rewrite_normalize(eapp("f", (a,)), (loop,), max_steps=50, strategy="outermost")
 
 
 def test_normalize_rejects_unknown_strategy():
     with pytest.raises(ValueError):
-        normalize(plus(a, a), XOR, strategy="sideways")
+        rewrite_normalize(plus(a, a), XOR, strategy="sideways")
+
+
+def test_normalize_refuses_rules_it_cannot_evaluate():
+    loop = Theory("loop", {"f": 1}, None,
+                  (RewriteRule(eapp("f", (x,)), eapp("f", (eapp("f", (x,)),))),),
+                  "empty")
+    with pytest.raises(ValueError):
+        normalize(eapp("f", (a,)), (loop,))
+    with pytest.raises(ValueError):
+        normalize(pair(a, eapp("f", (b,))), (loop,))
+    assert normalize(pair(a, b), (loop,)) is pair(a, b)  # no f: nothing to rewrite
+    # an xor-tagged theory with only the unit rule is not the built-in xor
+    half_xor = Theory("xor", {"+": 2, "0": 0}, "+", xor_theory().rules[1:], "xor")
+    with pytest.raises(ValueError):
+        normalize(plus(a, a), (half_xor,))
+    with pytest.raises(ValueError):
+        normalize(plus(a, a), (xor_theory(), ag_theory()))  # both interpret +
+    renaming = Theory("rename", {}, None, (RewriteRule(a, b),), "empty")
+    with pytest.raises(ValueError):
+        normalize(c, (renaming,))  # a rule at a name could apply anywhere
+
+
+def test_normalize_stays_off_the_match_cache():
+    before = rewriting._match_cached.cache_info()
+    wide = plus(*(name(f"w{i}") for i in range(64)))
+    assert normalize(wide, XOR) is wide
+    assert normalize(plus(wide, a, a), XOR) is wide
+    assert normalize(plus(a, inv(plus(a, b)), b), AG) is one
+    assert elem_deduce(xor_theory(), [plus(a, b), plus(b, c)], plus(a, c)) is not None
+    assert elem_deduce(ag_theory(), [plus(a, b), b], inv(a)) is not None
+    assert deduce([plus(a, b), plus(b, c), enc(k, plus(a, c))], k, XOR) is not None
+    assert deduce([plus(a, b), b, enc(k, plus(a, a, inv(b)))], k, AG) is not None
+    assert deduce([plus(a, b), enc(k, plus(a, c))], k, XOR) is None
+    assert rewriting._match_cached.cache_info() == before
 
 
 def test_rule_variable_containment():
