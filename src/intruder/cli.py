@@ -4,7 +4,9 @@ Subcommands: deduce (decide a derivability problem and optionally emit the
 proof), constraints (solve a deducibility constraint file), check (validate
 a proof object), translate (convert a proof between systems). Exit status 0
 means derivable, satisfiable, or valid; 1 the opposite; 2 a problem with the
-input itself.
+input itself; 3 an internal error or an exhausted resource (a recursion
+overflow, the solver giving up, a proof or solution that failed its own
+check), in which case the verdict is unknown and nothing goes to stdout.
 """
 from __future__ import annotations
 
@@ -127,9 +129,10 @@ def cmd_deduce(args) -> int:
         # keep stdout valid JSON so the proof can be piped into check/translate
         _emit(proof, "json")
     else:
+        text = proofs.render_text(proof) if args.emit_proof == "text" else None
         print("derivable")
-        if args.emit_proof:
-            _emit(proof, args.emit_proof)
+        if text is not None:
+            print(text)
     return 0
 
 
@@ -167,10 +170,12 @@ def cmd_constraints(args) -> int:
     if not solutions:
         print("unsatisfiable")
         return 1
-    print(f"satisfiable ({len(solutions)} solved form{'s' if len(solutions) != 1 else ''})")
+    # format everything before printing, so a failure leaves stdout empty
+    lines = [f"satisfiable ({len(solutions)} solved form{'s' if len(solutions) != 1 else ''})"]
     for i, (sol, ground) in enumerate(zip(solutions, grounds)):
-        print(f"solution {i}: {sol.subst!r}")
-        print(f"  ground instance: {ground!r}")
+        lines.append(f"solution {i}: {sol.subst!r}")
+        lines.append(f"  ground instance: {ground!r}")
+    print("\n".join(lines))
     return 0
 
 
@@ -291,6 +296,11 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as e:
+        # a RecursionError (a RuntimeError), the solver giving up, or a failed
+        # self-check: exit 1 would read as "not derivable" or "unsatisfiable"
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

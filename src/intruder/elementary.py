@@ -42,12 +42,13 @@ def elem_deduce(theory: Theory, gamma: Iterable[Term], goal: Term,
                 table: Abstraction | None = None,
                 theories: Sequence[Theory] | None = None) -> ElemWitness | None:
     """Decide whether some context over the theory maps Gamma members to goal."""
-    gamma = sorted(set(gamma), key=lambda t: t.key)
-    theories = as_theories(theories) if theories is not None else (theory,)
     if theory.backend == "empty":
         if goal in gamma:
             return ElemWitness(theory.name, "empty", (goal,))
         return None
+    # witnesses list Gamma in term order, so the same problem has one answer
+    gamma = sorted(set(gamma), key=lambda t: t.key)
+    theories = as_theories(theories) if theories is not None else (theory,)
     if table is None:
         table = Abstraction(theories)
     if theory.backend == "ac":

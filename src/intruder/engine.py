@@ -1,14 +1,19 @@
 """The deduction engine.
 
 right_deduce builds sequent proofs that use only id and right-introduction
-rules. deduce runs the saturation sweep of the linear system: it grows the
+rules. deduce saturates the context of the linear system: it grows the
 context with left-rule conclusions drawn from the saturated subterm set until
 the goal becomes right-deducible or nothing new can be added, and returns the
-resulting one-branch derivation. nd_closure_oracle is a slow, independent
-closure over the natural-deduction rules used to cross-check the engine.
+resulting one-branch derivation. It works from a queue of left-rule
+candidates, each made once, when its term enters the context; a candidate
+whose side condition fails is parked until the context grows in a way that
+can change the answer. nd_closure_oracle is a slow, independent closure over
+the natural-deduction rules used to cross-check the engine; the full-rescan
+sweep the worklist replaced is the test oracle tests/oracles.py.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from random import Random
 from typing import Iterable
@@ -17,7 +22,7 @@ from .elementary import elem_deduce
 from .proofs import Derivation, Sequent
 from .rewriting import (Abstraction, Theory, as_theories, normalize, theory_vector,
                         vector_term)
-from .terms import CAPP, Term, capp, e_factors, eapp, saturate, sign
+from .terms import CAPP, Term, capp, e_factors, eapp, saturate, sign, subterms
 
 _RIGHT_RULE = {"pair": "p_R", "enc": "e_R", "sign": "sign_R", "blind": "blind_R"}
 
@@ -147,73 +152,164 @@ def _is_factor(a: Term, over: frozenset[Term], theories) -> bool:
     return any(a in e_factors(t, th) for t in over for th in theories)
 
 
-# --- the saturation sweep --------------------------------------------------------
+# --- saturation by worklist -------------------------------------------------------
+
+
+def _side_goal(rule: str, principal: Term) -> Term:
+    """The term whose deducibility from the context gates the rule.
+
+    For sign it is pub(k), which must be a member of the context.
+    """
+    if rule == "ls":
+        return principal
+    if rule == "sign":
+        return capp("pub", (principal.args[1],))
+    if rule == "blind2":
+        return principal.args[0].args[1]
+    return principal.args[1]  # le, blind1
+
+
+def _linear_proof(steps, delta: frozenset[Term], goal: Term,
+                  right_proof: Derivation) -> Derivation:
+    """The one-branch L derivation: the recorded left steps above an r leaf."""
+    node = Derivation("L", "r", Sequent(delta, goal), (), {"right": right_proof})
+    for rule, principal, th_name, side, before in reversed(steps):
+        aux: dict = {"principal": principal}
+        if th_name is not None:
+            aux["theory"] = th_name
+        if side is not None:
+            aux["right"] = side
+        node = Derivation("L", rule, Sequent(before, goal), (node,), aux)
+    return node
 
 
 def deduce(gamma: Iterable[Term], goal: Term, theories,
            rng: Random | None = None) -> Derivation | None:
     """A linear-system derivation of gamma |- goal, or None if underivable.
 
-    The context only ever grows by members of the saturated subterm set, so
-    the number of left-rule applications is bounded by its size and each
-    sweep either adds a term or reaches a fixpoint.
+    The context Δ starts as gamma and only ever grows by members of the
+    saturated subterm set, one left-rule step at a time, so the number of
+    steps is bounded by its size.  A candidate is a left rule with its
+    principal: the decomposition rules of each member of Δ, and an ls for
+    each alien factor of Δ ∪ {goal} not yet in Δ.  A term's candidates are
+    made once, when it enters Δ, and tried from a queue.  One that fires is
+    done; one whose side condition fails is parked until Δ grows in a way
+    that can change the answer.  When every theory is free, that answer
+    depends only on which subterms of the side goal are in Δ, so a
+    candidate is parked under the missing ones and woken only when one of
+    them arrives.  Under an equational theory any growth wakes every parked
+    candidate.  The search stops at the goal or when the queue is empty:
+    then Δ is closed under every rule and the goal is not derivable.
+
+    Without rng the queue runs in passes: each pass tries its candidates
+    in term order, and a woken candidate is tried later in the same pass if
+    its place has not gone by, else in the next one; candidates of new terms
+    wait for the next pass.  This is the order of a full rescan of Δ after
+    each pass, without the rescan.  With rng each new batch of candidates
+    is shuffled instead, which changes the proof but never the verdict.
     """
     theories = as_theories(theories)
     delta = frozenset(normalize(t, theories) for t in gamma)
     goal = normalize(goal, theories)
     table = Abstraction(theories)
     memo: dict = {}
-
     steps: list[tuple[str, Term, str | None, Derivation | None, frozenset[Term]]] = []
-
-    def finish(right_proof: Derivation) -> Derivation:
-        node = Derivation("L", "r", Sequent(delta, goal), (), {"right": right_proof})
-        for rule, principal, th_name, side, before in reversed(steps):
-            aux: dict = {"principal": principal}
-            if th_name is not None:
-                aux["theory"] = th_name
-            if side is not None:
-                aux["right"] = side
-            node = Derivation("L", rule, Sequent(before, goal), (node,), aux)
-        return node
 
     rp = _right(delta, goal, theories, table, memo)
     if rp is not None:
-        return finish(rp)
+        return _linear_proof(steps, delta, goal, rp)
 
-    while True:
-        grew = False
-        candidates = []
-        for t in sorted(delta, key=lambda u: u.key):
-            for rule in _rules_for(t):
-                candidates.append((rule, t, None))
-        factor_seen = set()
-        for th in theories:
-            if not th.symbols:
-                continue
-            for t in sorted(delta | {goal}, key=lambda u: u.key):
-                for a in sorted(e_factors(t, th), key=lambda u: u.key):
-                    if a not in delta and (a, th.name) not in factor_seen:
-                        factor_seen.add((a, th.name))
-                        candidates.append(("ls", a, th.name))
+    equational = [(i, th) for i, th in enumerate(theories) if th.symbols]
+    free = not equational
+    place: dict[tuple, tuple] = {}   # candidate -> its place in the current pass
+    earlier: dict[tuple, tuple] = {}  # ls candidate -> its place from the next pass
+    tick = itertools.count()
+    done: set[tuple] = set()
+    parked: set[tuple] = set()
+    waiting: dict[Term, list[tuple]] = {}  # free theory: missing subterm -> parked
+
+    def batch(terms, hosts) -> list[tuple]:
+        """New candidates: the left rules of terms, the ls of hosts' factors."""
+        out = []
+        for t in terms:
+            for i, rule in enumerate(_rules_for(t)):
+                cand = (rule, t, None)
+                place[cand] = (0, t.key, i)
+                out.append(cand)
+        for i, th in equational:
+            for t in sorted(hosts, key=lambda u: u.key):  # a factor's first host
+                for a in e_factors(t, th):
+                    if a in delta:
+                        continue
+                    cand = ("ls", a, th.name)
+                    at = (1, i, t.key, a.key)
+                    if cand not in place:
+                        place[cand] = at
+                        out.append(cand)
+                    elif rng is None and at < earlier.get(cand, place[cand]):
+                        earlier[cand] = at
         if rng is not None:
-            rng.shuffle(candidates)
-        for rule, principal, th_name in candidates:
+            rng.shuffle(out)
+            for cand in out:
+                place[cand] = (next(tick),)
+        return out
+
+    def park(cand: tuple) -> None:
+        parked.add(cand)
+        if free:
+            for u in subterms(_side_goal(cand[0], cand[1])) - delta:
+                waiting.setdefault(u, []).append(cand)
+
+    def wake(new: frozenset[Term]) -> list[tuple]:
+        if not free:
+            out = list(parked)
+            parked.clear()
+            return out
+        out = []
+        for u in new:
+            for cand in waiting.pop(u, ()):
+                if cand in parked:
+                    parked.remove(cand)
+                    out.append(cand)
+        return out
+
+    following = batch(delta, delta | {goal})
+    while following:
+        queue = [(place[cand], cand) for cand in following]
+        heapq.heapify(queue)
+        following = []
+        while queue:
+            at, cand = heapq.heappop(queue)
+            if cand in done:
+                continue
+            rule, principal, th_name = cand
             hit = _apply_left(rule, principal, delta, goal, theories, table, memo)
             if hit is None:
+                park(cand)
                 continue
+            done.add(cand)
             added, side = hit
             new = frozenset(added) - delta
             if not new:
                 continue
             steps.append((rule, principal, th_name, side, delta))
             delta = delta | new
-            grew = True
             rp = _right(delta, goal, theories, table, memo)
             if rp is not None:
-                return finish(rp)
-        if not grew:
-            return None
+                return _linear_proof(steps, delta, goal, rp)
+            for u in new:  # an ls of a term already in Δ has nothing to add
+                for _, th in equational:
+                    done.add(("ls", u, th.name))
+                    parked.discard(("ls", u, th.name))
+            following.extend(batch(new, new))
+            for cand in wake(new):
+                if place[cand] > at:
+                    heapq.heappush(queue, (place[cand], cand))
+                else:
+                    following.append(cand)
+        place.update(earlier)
+        earlier.clear()
+    return None
 
 
 def deducible(gamma: Iterable[Term], goal: Term, theories) -> bool:

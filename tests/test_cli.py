@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import gen_ground, gen_instance
-from intruder import cli, engine
+from intruder import cli, constraints, engine, proofs
 from intruder.proofs import dumps, linear_to_seq, loads, seq_to_nd
 from intruder.rewriting import make_theories
 from intruder.terms import format_term, name, parse_term
@@ -149,6 +152,41 @@ def test_constraints_unsatisfiable(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "unsatisfiable"
     assert cli.main(["constraints", "--input", path, "--emit", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["satisfiable"] is False
+
+
+def test_deep_goal_is_an_internal_error_not_a_verdict():
+    goal = "pair(" * 1200 + "a" + ", a)" * 1200
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "intruder.cli", "deduce", "--knows", "a",
+                          "--goal", goal, "--theory", "empty"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: internal:")
+
+
+def test_solver_giving_up_exits_3(tmp_path, capsys, monkeypatch):
+    def gave_up(*args, **kw):
+        raise RuntimeError("gave up after 1 states")
+
+    monkeypatch.setattr(constraints, "solve", gave_up)
+    path = write(tmp_path, "a, enc(m, k), k |- m\n")
+    assert cli.main(["constraints", "--input", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal:") and "gave up" in err
+
+
+def test_invalid_engine_proof_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(proofs, "find_error", lambda proof, theories: "planted")
+    rc = cli.main(["deduce", "--knows", "enc(a, k), k", "--goal", "a",
+                   "--theory", "empty", "--emit-proof", "text"])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid proof: planted" in err
 
 
 def test_constraints_origination_violation(tmp_path, capsys):

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from conftest import assert_structural, deduce_checked, gen_instance
+from conftest import assert_structural, deduce_checked, gen_ground, gen_instance
+from oracles import rescan_deduce
+from intruder import engine
 from intruder.engine import (OracleBoundExceeded, applicable, deduce,
                              deducible, nd_closure_oracle, right_deduce)
 from intruder.proofs import Sequent, find_error
-from intruder.rewriting import make_theories
-from intruder.terms import blind, eapp, enc, name, pair, pub, sign
+from intruder.rewriting import make_theories, normalize
+from intruder.terms import blind, eapp, enc, name, pair, pub, sign, subterms
 
 a, b, c, k, m, r = (name(n) for n in "abckmr")
 EMPTYS = make_theories(("empty",))
@@ -184,3 +186,93 @@ def test_oracle_equivalence_xor():
         gamma, goal = gen_instance(rng, names, XORS, max_gamma=3, st_cap=12)
         d = deduce_checked(gamma, goal, XORS)
         assert (d is not None) == nd_closure_oracle(gamma, goal, XORS)
+
+
+def gen_links(rng, theories, links=5):
+    """Knowledge that opens link by link: each key is built from earlier payloads.
+
+    Names get random labels, so the term order, and with it the order in
+    which candidates are first tried, runs along or against the chain.
+    """
+    labels = iter(rng.sample(range(100, 1000), 3 * links + 2))
+
+    def fresh():
+        return name(f"n{next(labels)}")
+
+    known = [fresh()]
+    opened = list(known)
+    for _ in range(links):
+        payload = pair(fresh(), fresh()) if rng.random() < 0.5 else fresh()
+        key = gen_ground(rng, opened, theories, depth=2)
+        if rng.random() < 0.3:
+            s_key = fresh()
+            known += [sign(blind(payload, key), s_key), pub(s_key)]
+        else:
+            known.append(enc(payload, key))
+        opened += sorted(subterms(payload) - {payload}, key=lambda t: t.key) or [payload]
+    if rng.random() < 0.5:
+        goal = rng.choice(opened[-2:])
+    else:
+        goal = gen_ground(rng, opened + [fresh()], theories, depth=2)
+    return [normalize(t, theories) for t in known], normalize(goal, theories)
+
+
+@pytest.mark.parametrize("theory", ["empty", "xor", "ag", "ac"])
+def test_worklist_agrees_with_rescan(theory):
+    ths = make_theories((theory,))
+    rng = random.Random(f"worklist:{theory}")
+    names = [a, b, c, k]
+    yes = 0
+    for i in range(80):
+        if i % 2:
+            gamma, goal = gen_links(rng, ths, links=rng.randint(2, 6))
+        else:
+            gamma, goal = gen_instance(rng, names, ths, max_gamma=4, st_cap=20)
+        base = rescan_deduce(gamma, goal, ths)
+        d = deduce(gamma, goal, ths)
+        assert (d is None) == (base is None), (gamma, goal)
+        # without rng the worklist fires in the sweep's order
+        assert d == base
+        yes += d is not None
+        for seed in (0, i):
+            for run in (deduce, rescan_deduce):
+                d = run(gamma, goal, ths, rng=random.Random(seed))
+                assert (d is None) == (base is None), (run.__name__, seed, gamma, goal)
+                if d is not None:
+                    assert find_error(d, ths) is None
+                    assert_structural(d, ths)
+    assert 15 <= yes <= 65
+
+
+def _chain(kind, n, descending):
+    """An n-link enc or blind-signature chain whose names sort up or down it."""
+    ks = [name(f"k{100 + (n - j if descending else j)}") for j in range(n + 1)]
+    if kind == "enc":
+        return [ks[0]] + [enc(ks[j + 1], ks[j]) for j in range(n)], ks[n]
+    sks = [name(f"s{100 + j}") for j in range(n)]
+    links = [sign(blind(ks[j + 1], ks[j]), sks[j]) for j in range(n)]
+    return [ks[0]] + links + [pub(s) for s in sks], ks[n]
+
+
+@pytest.mark.parametrize("kind", ["enc", "blind"])
+def test_saturation_work_is_linear_on_chains(kind, monkeypatch):
+    calls = 0
+    real = engine.elem_deduce
+
+    def counted(*args, **kw):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kw)
+
+    monkeypatch.setattr(engine, "elem_deduce", counted)
+    work = {}
+    for n in (24, 48):
+        for descending in (False, True):
+            calls = 0
+            gamma, goal = _chain(kind, n, descending)
+            assert deduce(gamma, goal, EMPTYS) is not None
+            work[n, descending] = calls
+    for n in (24, 48):
+        assert work[n, True] <= 2 * work[n, False], work
+    for descending in (False, True):
+        assert work[48, descending] <= 2.5 * work[24, descending], work
