@@ -11,6 +11,7 @@ check), in which case the verdict is unknown and nothing goes to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from random import Random
@@ -289,8 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it found it, so every call can share one
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as e:

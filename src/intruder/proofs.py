@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable
 
 from .elementary import ElemWitness, replay
@@ -731,84 +732,181 @@ def _witness_tree(w: ElemWitness, g: frozenset[Term], goal: Term, theories) -> D
 
 
 def to_json(d: Derivation) -> dict:
-    gamma = sorted(d.conclusion.gamma, key=lambda t: t.key)
-    aux: dict = {}
-    for k, v in d.aux.items():
-        if isinstance(v, Term):
-            aux[k] = format_term(v)
-        elif isinstance(v, ElemWitness):
-            aux[k] = _witness_json(v)
-        elif isinstance(v, Derivation):
-            aux[k] = to_json(v)
-        else:
-            aux[k] = v
-    return {
-        "system": d.system,
-        "rule": d.rule,
-        "gamma": [format_term(t) for t in gamma],
-        "goal": format_term(d.conclusion.goal),
-        "aux": aux,
-        "premises": [to_json(p) for p in d.premises],
-    }
-
-
-def _witness_json(w: ElemWitness) -> dict:
-    if w.kind in ("empty", "xor"):
-        entries = [format_term(e) for e in w.entries]
-    else:
-        entries = [[format_term(e), c] for e, c in w.entries]
-    return {"theory": w.theory, "kind": w.kind, "entries": entries}
+    """The proof as a JSON-ready object (see README for its shape)."""
+    return _Writer().node(d)
 
 
 def from_json(obj: dict) -> Derivation:
-    try:
-        system = obj["system"]
-        rule = obj["rule"]
-        gamma = frozenset(parse_term(s) for s in obj["gamma"])
-        goal = parse_term(obj["goal"])
-        premises = tuple(from_json(p) for p in obj.get("premises", []))
-        aux_in = obj.get("aux", {})
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed proof object: {e}") from None
-    aux: dict = {}
-    for k, v in aux_in.items():
-        if k in ("principal", "abstracted"):
-            aux[k] = parse_term(v)
-        elif k == "witness":
-            aux[k] = _witness_from_json(v)
-        elif k == "right":
-            aux[k] = from_json(v)
-        else:
-            aux[k] = v
-    return Derivation(system, rule, Sequent(gamma, goal), premises, aux)
+    """Read a proof object; raises ValueError if it is malformed."""
+    return _Reader().node(obj)
 
 
-def _witness_from_json(obj: dict) -> ElemWitness:
-    try:
-        kind = obj["kind"]
-        theory = obj["theory"]
-        raw = obj["entries"]
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed witness object: {e}") from None
-    if kind in ("empty", "xor"):
-        entries = tuple(parse_term(s) for s in raw)
-    else:
-        entries = tuple((parse_term(s), int(c)) for s, c in raw)
-    return ElemWitness(theory, kind, entries)
-
-
-def dumps(d: Derivation, indent: int | None = 2) -> str:
-    return json.dumps(to_json(d), indent=indent)
+def dumps(d: Derivation) -> str:
+    """The proof as indented JSON: the text ``json.dumps(to_json(d), indent=2)``
+    gives, written without json's pure-Python encoder."""
+    out: list[str] = []
+    _indented(to_json(d), "\n", out)
+    return "".join(out)
 
 
 def loads(text: str) -> Derivation:
+    """Read a proof from JSON; raises ValueError on malformed JSON or a
+    malformed proof object, including a term that does not parse."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed proof JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise ValueError("malformed proof JSON: expected an object")
     return from_json(obj)
+
+
+class _Writer:
+    """Writes the nodes of one proof.  Sequents repeat their whole context, so
+    each distinct term is printed, and each distinct context sorted and
+    printed, once."""
+
+    def __init__(self):
+        self.terms: dict[Term, str] = {}
+        self.gammas: dict[frozenset[Term], list[str]] = {}
+
+    def term(self, t: Term) -> str:
+        s = self.terms.get(t)
+        if s is None:
+            s = self.terms[t] = format_term(t)
+        return s
+
+    def node(self, d: Derivation) -> dict:
+        g = d.conclusion.gamma
+        gamma = self.gammas.get(g)
+        if gamma is None:
+            gamma = self.gammas[g] = [self.term(t) for t in sorted(g, key=lambda t: t.key)]
+        aux: dict = {}
+        for k, v in d.aux.items():
+            if isinstance(v, Term):
+                aux[k] = self.term(v)
+            elif isinstance(v, ElemWitness):
+                aux[k] = self.witness(v)
+            elif isinstance(v, Derivation):
+                aux[k] = self.node(v)
+            else:
+                aux[k] = v
+        return {
+            "system": d.system,
+            "rule": d.rule,
+            "gamma": list(gamma),
+            "goal": self.term(d.conclusion.goal),
+            "aux": aux,
+            "premises": [self.node(p) for p in d.premises],
+        }
+
+    def witness(self, w: ElemWitness) -> dict:
+        if w.kind in ("empty", "xor"):
+            entries = [self.term(e) for e in w.entries]
+        else:
+            entries = [[self.term(e), c] for e, c in w.entries]
+        return {"theory": w.theory, "kind": w.kind, "entries": entries}
+
+
+class _Reader:
+    """Reads the nodes of one proof object, checking the JSON type of every
+    field it interprets.  Each distinct term string is parsed once."""
+
+    def __init__(self):
+        self.terms: dict[str, Term] = {}
+
+    def term(self, s, what: str) -> Term:
+        if not isinstance(s, str):
+            raise _malformed(f"{what} must be a string, found {type(s).__name__}")
+        t = self.terms.get(s)
+        if t is None:
+            t = self.terms[s] = parse_term(s)
+        return t
+
+    def node(self, obj) -> Derivation:
+        if not isinstance(obj, dict):
+            raise _malformed(f"a node must be an object, found {type(obj).__name__}")
+        system = _field(obj, "system", str)
+        rule = _field(obj, "rule", str)
+        gamma = frozenset([self.term(s, "a gamma member") for s in _field(obj, "gamma", list)])
+        goal = self.term(_field(obj, "goal", str), "goal")
+        premises = tuple([self.node(p) for p in _field(obj, "premises", list, [])])
+        aux: dict = {}
+        for k, v in _field(obj, "aux", dict, {}).items():
+            if k in ("principal", "abstracted"):
+                aux[k] = self.term(v, k)
+            elif k == "witness":
+                aux[k] = self.witness(v)
+            elif k == "right":
+                aux[k] = self.node(v)
+            else:
+                aux[k] = v
+        return Derivation(system, rule, Sequent(gamma, goal), premises, aux)
+
+    def witness(self, obj) -> ElemWitness:
+        if not isinstance(obj, dict):
+            raise _malformed(f"a witness must be an object, found {type(obj).__name__}")
+        kind = _field(obj, "kind", str)
+        theory = _field(obj, "theory", str)
+        raw = _field(obj, "entries", list)
+        if kind in ("empty", "xor"):
+            return ElemWitness(theory, kind,
+                               tuple([self.term(s, "a witness entry") for s in raw]))
+        entries = []
+        for e in raw:
+            if not (isinstance(e, list) and len(e) == 2 and type(e[1]) is int):
+                raise _malformed(f"a {kind} witness entry must be [term, count], found {e!r}")
+            entries.append((self.term(e[0], "a witness entry"), e[1]))
+        return ElemWitness(theory, kind, tuple(entries))
+
+
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type, default=None):
+    """obj[key], which must have the given JSON type; default if it is
+    absent and a default is given."""
+    if key not in obj:
+        if default is None:
+            raise _malformed(f"missing {key!r}")
+        return default
+    v = obj[key]
+    if not isinstance(v, kind):
+        raise _malformed(f"{key!r} must be {_JSON_TYPES[kind]}, found {type(v).__name__}")
+    return v
+
+
+def _malformed(reason: str) -> ValueError:
+    return ValueError(f"malformed proof object: {reason}")
+
+
+def _indented(v, nl: str, out: list[str]) -> None:
+    """Append to out the text json.dumps(v, indent=2) gives v, where nl is
+    the line break and indentation of the line v starts on."""
+    if isinstance(v, str):
+        out.append(_encode_str(v))
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, x in v.items():
+            out.append(sep + _encode_str(k) + ": ")
+            _indented(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _indented(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(v))
 
 
 def render_text(d: Derivation, indent: int = 0) -> str:

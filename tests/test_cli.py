@@ -21,6 +21,13 @@ goal: pair(a, b) + a
 """
 
 
+def _src_env():
+    """The environment of a CLI subprocess that imports intruder from src/."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def write(tmp_path, text, filename="input.txt"):
     p = tmp_path / filename
     p.write_text(text)
@@ -156,12 +163,9 @@ def test_constraints_unsatisfiable(tmp_path, capsys):
 
 def test_deep_goal_is_an_internal_error_not_a_verdict():
     goal = "pair(" * 1200 + "a" + ", a)" * 1200
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-m", "intruder.cli", "deduce", "--knows", "a",
                           "--goal", goal, "--theory", "empty"],
-                         env=env, capture_output=True, text=True, timeout=60)
+                         env=_src_env(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 3, out.stderr
     assert out.stdout == ""
     assert out.stderr.startswith("error: internal:")
@@ -252,6 +256,57 @@ def test_check_corrupted_premise(tmp_path, capsys):
 def test_check_malformed_json(tmp_path, capsys, blob):
     path = write(tmp_path, blob, "broken.json")
     assert cli.main(["check", "--proof", str(path), "--theory", "empty"]) == 2
+    capsys.readouterr()
+
+
+PROOF_SOURCES = {"empty": (("enc(a, k)", "k"), "a"), "ag": (("a+b", "b"), "a")}
+
+
+@pytest.mark.parametrize("theory,path,value", [
+    ("empty", ("aux", "principal"), 5),
+    ("empty", ("aux", "right", "aux", "witness", "entries"), 5),
+    ("empty", ("aux", "right", "aux", "witness"), 5),
+    ("empty", ("aux",), [1]),
+    ("empty", ("aux", "right"), "k"),
+    ("empty", ("gamma",), "ab"),
+    ("empty", ("goal",), ["a"]),
+    ("empty", ("rule",), ["le"]),
+    ("empty", ("premises",), [5]),
+    ("ag", ("aux", "right", "aux", "witness", "entries", 0, 1), "-1"),
+    ("ag", ("aux", "right", "aux", "witness", "entries", 0), ["b"]),
+])
+def test_malformed_proof_shapes_are_input_errors(tmp_path, theory, path, value):
+    knows, goal = PROOF_SOURCES[theory]
+    ths = make_theories((theory,))
+    d = engine.deduce([parse_term(t) for t in knows], parse_term(goal), ths)
+    blob = json.loads(dumps(d))
+    node = blob
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    proof = write(tmp_path, json.dumps(blob), "bad.json")
+    for command in (["check"], ["translate", "--direction", "seq2nd"]):
+        out = subprocess.run([sys.executable, "-m", "intruder.cli", *command,
+                              "--proof", proof, "--theory", theory],
+                             env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2, out.stderr
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: malformed proof object:"), out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_main_calls_share_no_parsed_values(monkeypatch, capsys):
+    seen = []
+    real = cli._theories_for
+
+    def spy(args, file_names):
+        seen.append((args.knows, args.theory))
+        return real(args, file_names)
+
+    monkeypatch.setattr(cli, "_theories_for", spy)
+    assert cli.main(["deduce", "--knows", "a+b, b", "--goal", "a", "--theory", "xor"]) == 0
+    assert cli.main(["deduce", "--knows", "a", "--goal", "a", "--theory", "ag"]) == 0
+    assert seen == [(["a+b, b"], ["xor"]), (["a"], ["ag"])]
     capsys.readouterr()
 
 

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from conftest import gen_instance
+from intruder import proofs
 from intruder.elementary import ElemWitness
 from intruder.engine import deduce
 from intruder.proofs import (Derivation, Sequent, check, dumps, find_error,
@@ -279,6 +281,84 @@ def test_json_round_trip():
             assert [n.rule for n in _nodes(back)] == [n.rule for n in _nodes(form)]
             th_names = tuple(t.name for t in ths)
             assert find_error(back, make_theories(th_names)) is None
+
+
+def _proof_forms(theory_name, seed):
+    """L, S and N proofs of the first three derivable random instances."""
+    ths = make_theories((theory_name,))
+    rng = random.Random(seed)
+    names = [a, b, c, k]
+    forms = []
+    while len(forms) < 9:
+        gamma, goal = gen_instance(rng, names, ths, st_cap=15)
+        d = deduce(gamma, goal, ths)
+        if d is not None:
+            s = linear_to_seq(d, ths)
+            forms += [d, s, seq_to_nd(s, ths)]
+    return forms
+
+
+@pytest.mark.parametrize("theory_name,seed",
+                         [("empty", 61), ("xor", 62), ("ag", 63), ("ac", 64)])
+def test_dumps_writes_what_json_dumps_writes(theory_name, seed):
+    for d in _proof_forms(theory_name, seed):
+        text = dumps(d)
+        assert text == json.dumps(to_json(d), indent=2)
+        back = loads(text)
+        assert back.conclusion == d.conclusion
+        assert dumps(back) == text
+
+
+def test_dumps_writes_unknown_aux_values_as_json_does():
+    extra = {"note": 'caf\u00e9 "quoted" back\\slash', "weight": 0.25,
+             "flags": [True, None, False], "count": -3,
+             "nested": {"empty_list": [], "empty_object": {},
+                        "mixed": [1, "x", [2.5, {}], {"k": []}]}}
+    d = Derivation("S", "id", Sequent(frozenset({a, b}), a), (),
+                   {"witness": ElemWitness("empty", "empty", (a,)), "theory": "empty", **extra})
+    text = dumps(d)
+    assert text == json.dumps(to_json(d), indent=2)
+    back = loads(text)
+    assert back.aux["witness"] == d.aux["witness"]
+    assert {key: back.aux[key] for key in extra} == extra
+    assert dumps(back) == text
+
+
+def _term_strings(obj):
+    """Every term string a proof object holds, with repeats."""
+    out = list(obj["gamma"]) + [obj["goal"]]
+    aux = obj["aux"]
+    out += [aux[key] for key in ("principal", "abstracted") if key in aux]
+    if "witness" in aux:
+        out += [e if isinstance(e, str) else e[0] for e in aux["witness"]["entries"]]
+    if "right" in aux:
+        out += _term_strings(aux["right"])
+    for p in obj["premises"]:
+        out += _term_strings(p)
+    return out
+
+
+def test_loads_parses_each_distinct_term_string_once(monkeypatch):
+    # a 12-link blind-signature chain whose labels descend in term order
+    n = 12
+    rs = [name(f"r{n - j:02d}") for j in range(n + 1)]
+    sks = [name(f"s{n - j:02d}") for j in range(n)]
+    gamma = {rs[0]} | {pub(s) for s in sks}
+    gamma |= {sign(blind(rs[j + 1], rs[j]), sks[j]) for j in range(n)}
+    text = dumps(deduce(gamma, rs[n], EMPTYS))
+    strings = _term_strings(json.loads(text))
+    calls = []
+    real = proofs.parse_term
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(proofs, "parse_term", counting)
+    d = loads(text)
+    assert find_error(d, EMPTYS) is None
+    assert len(strings) > 10 * len(set(strings))
+    assert sorted(calls) == sorted(set(strings))
 
 
 def test_loads_rejects_malformed_input():
