@@ -2,13 +2,13 @@
 
 from .terms import (Term, ParseError, name, var, pub, sign, blind, pair, enc,
                     eapp, parse_term, format_term, subterms, variables, size,
-                    substitute, equal_mod_ac, e_factors, saturate, TermIndex)
+                    substitute, e_factors)
 from .rewriting import (Theory, RewriteRule, NormalizationBudgetExceeded,
                         empty_theory, ac_theory, xor_theory, ag_theory,
                         make_theories, normalize, is_normal, rewrite_normalize,
                         match_mod_ac, one_step_rewrites, Abstraction, abstract)
 from .elementary import ElemWitness, elem_deduce, replay
-from .engine import OracleBoundExceeded, applicable, deduce, deducible, nd_closure_oracle, right_deduce
+from .engine import deduce, deducible, right_deduce
 from .proofs import (Derivation, Sequent, check, find_error, weaken,
                      is_normal_derivation, linear_to_seq, nd_to_seq, seq_to_nd,
                      to_json, from_json, dumps, loads, render_text)

@@ -6,7 +6,8 @@ a proof object), translate (convert a proof between systems). Exit status 0
 means derivable, satisfiable, or valid; 1 the opposite; 2 a problem with the
 input itself; 3 an internal error or an exhausted resource (a recursion
 overflow, the solver giving up, a proof or solution that failed its own
-check), in which case the verdict is unknown and nothing goes to stdout.
+check, or any other exception), in which case the verdict is unknown and
+nothing goes to stdout.
 """
 from __future__ import annotations
 
@@ -303,8 +304,8 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as e:
-        # a RecursionError (a RuntimeError), the solver giving up, or a failed
+    except Exception as e:
+        # a bug, a RecursionError, the solver giving up, or a failed
         # self-check: exit 1 would read as "not derivable" or "unsatisfiable"
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -4,12 +4,13 @@ right_deduce builds sequent proofs that use only id and right-introduction
 rules. deduce saturates the context of the linear system: it grows the
 context with left-rule conclusions drawn from the saturated subterm set until
 the goal becomes right-deducible or nothing new can be added, and returns the
-resulting one-branch derivation. It works from a queue of left-rule
-candidates, each made once, when its term enters the context; a candidate
-whose side condition fails is parked until the context grows in a way that
-can change the answer. nd_closure_oracle is a slow, independent closure over
-the natural-deduction rules used to cross-check the engine; the full-rescan
-sweep the worklist replaced is the test oracle tests/oracles.py.
+resulting one-branch derivation, each side condition proved by the right
+proof it embeds. It works from a queue of left-rule candidates, each made
+once, when its term enters the context; a candidate whose side condition
+fails is parked until the context grows in a way that can change the answer.
+The slow references the engine is tested against (the full-rescan sweep the
+worklist replaced, and a closure over the natural-deduction rules) are in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -20,15 +21,10 @@ from typing import Iterable
 
 from .elementary import elem_deduce
 from .proofs import Derivation, Sequent
-from .rewriting import (Abstraction, Theory, as_theories, normalize, theory_vector,
-                        vector_term)
-from .terms import CAPP, Term, capp, e_factors, eapp, saturate, sign, subterms
+from .rewriting import Abstraction, as_theories, normalize
+from .terms import CAPP, Term, capp, e_factors, sign, subterms
 
 _RIGHT_RULE = {"pair": "p_R", "enc": "e_R", "sign": "sign_R", "blind": "blind_R"}
-
-
-class OracleBoundExceeded(RuntimeError):
-    """The reference closure hit an enumeration or depth limit."""
 
 
 def right_deduce(gamma: Iterable[Term], goal: Term, theories,
@@ -131,25 +127,6 @@ def _apply_left(rule: str, principal: Term, gamma: frozenset[Term], goal: Term,
             return None
         return (sign(payload, key), factor), side
     raise ValueError(f"unknown left rule {rule!r}")
-
-
-def applicable(rule: str, principal: Term, gamma: Iterable[Term], goal: Term,
-               theories) -> Sequent | None:
-    """The premise sequent of a left rule instance, or None if it cannot fire."""
-    theories = as_theories(theories)
-    gamma = frozenset(gamma)
-    if rule == "ls" and not _is_factor(principal, gamma | {goal}, theories):
-        return None
-    table = Abstraction(theories)
-    hit = _apply_left(rule, principal, gamma, goal, theories, table, {})
-    if hit is None:
-        return None
-    added, _ = hit
-    return Sequent(gamma | set(added), goal)
-
-
-def _is_factor(a: Term, over: frozenset[Term], theories) -> bool:
-    return any(a in e_factors(t, th) for t in over for th in theories)
 
 
 # --- saturation by worklist -------------------------------------------------------
@@ -314,121 +291,3 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
 
 def deducible(gamma: Iterable[Term], goal: Term, theories) -> bool:
     return deduce(gamma, goal, theories) is not None
-
-
-# --- independent reference closure ------------------------------------------------
-
-
-_ORACLE_COMBO_CAP = 200_000
-
-
-def nd_closure_oracle(gamma: Iterable[Term], goal: Term, theories,
-                      depth_bound: int | None = None,
-                      coeff_bound: int = 4) -> bool:
-    """Forward closure over the natural-deduction rules, for cross-checking.
-
-    Analysis rules run unrestricted inside the known set; introduction rules
-    only target saturated subterms, which keeps the closure finite. Equational
-    steps enumerate small coefficient combinations of known terms as atom
-    vectors (rewriting.theory_vector and vector_term, the arithmetic that
-    normalize evaluates and that the tests check against rule-based
-    rewriting), so nothing here depends on the elementary solvers. Exact for
-    the empty theory and exclusive-or; for AC it is exact whenever coeff_bound
-    is at least the largest multiplicity appearing in the saturated set, and
-    for abelian groups coefficients beyond coeff_bound are out of reach.
-    Raises OracleBoundExceeded when an enumeration would explode or the depth
-    bound runs out before the fixpoint.
-    """
-    theories = as_theories(theories)
-    known = {normalize(t, theories) for t in gamma}
-    goal = normalize(goal, theories)
-    if not known:
-        return False
-    index = saturate(known, goal)
-    targets = frozenset(index)
-
-    rounds = 0
-    while True:
-        if goal in known:
-            return True
-        new = _close_once(known, targets, theories, coeff_bound)
-        if not new:
-            return goal in known
-        known |= new
-        rounds += 1
-        if depth_bound is not None and rounds >= depth_bound:
-            raise OracleBoundExceeded(f"no fixpoint within {depth_bound} rounds")
-
-
-def _close_once(known: set[Term], targets: frozenset[Term], theories,
-                coeff_bound: int) -> set[Term]:
-    new: set[Term] = set()
-
-    def add(t: Term) -> None:
-        if t not in known:
-            new.add(t)
-
-    for t in known:
-        if t.kind != CAPP:
-            continue
-        if t.sym == "pair":
-            add(t.args[0])
-            add(t.args[1])
-        elif t.sym == "enc":
-            if t.args[1] in known:
-                add(t.args[0])
-        elif t.sym == "sign":
-            payload, key = t.args
-            if capp("pub", (key,)) in known:
-                add(payload)
-            if payload.kind == CAPP and payload.sym == "blind" and payload.args[1] in known:
-                add(sign(payload.args[0], key))
-        elif t.sym == "blind":
-            if t.args[1] in known:
-                add(t.args[0])
-
-    for st in targets:
-        if st in known or st.kind != CAPP or st.sym == "pub":
-            continue
-        if all(a in known for a in st.args):
-            add(st)
-
-    for th in theories:
-        for t in _equational_step(known, targets, th, theories, coeff_bound):
-            add(t)
-    return new
-
-
-def _equational_step(known: set[Term], targets: frozenset[Term], th: Theory,
-                     theories, coeff_bound: int) -> Iterable[Term]:
-    if th.backend == "empty":
-        return
-    members = sorted(known, key=lambda t: t.key)
-    vectors = [theory_vector(m, th) for m in members]
-    n = len(members)
-    if th.backend == "xor":
-        lo, hi = 0, 1
-        unit = eapp("0", ())
-    elif th.backend == "ac":
-        lo, hi = 0, coeff_bound
-        unit = None
-    else:  # ag
-        lo, hi = -coeff_bound, coeff_bound
-        unit = eapp("1", ())
-    if unit is not None and unit in targets and members:
-        # m+m (xor) or m+inv(m) (ag): one coefficient per member cannot say it
-        yield unit
-    width = hi - lo + 1
-    if width ** n > _ORACLE_COMBO_CAP:
-        raise OracleBoundExceeded(f"{width}^{n} coefficient vectors is too many")
-    for coeffs in itertools.product(range(lo, hi + 1), repeat=n):
-        if not any(coeffs):
-            continue
-        acc: dict[Term, int] = {}
-        for vec, c in zip(vectors, coeffs):
-            if c:
-                for atom, k in vec.items():
-                    acc[atom] = acc.get(atom, 0) + c * k
-        t = vector_term(acc, th)
-        if t is not None and t in targets:
-            yield t

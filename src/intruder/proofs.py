@@ -2,9 +2,12 @@
 
 System tags: "N" for the natural-deduction system, "S" for the sequent
 calculus with cut, "L" for the linear left-rule system the engine emits.
-A derivation is checkable without the search that produced it: id leaves
-carry replayable context witnesses, and the side conditions of "L" rules
-are re-verified through the engine's right-deduction procedure.
+A derivation is checked without search: id leaves carry replayable context
+witnesses, and every "L" rule with a side condition (r, le, blind1, blind2,
+ls) carries in aux["right"] an S proof of it built from id and right rules
+alone, which the checker verifies like any other S derivation.  An L proof
+with its right proofs is thus a complete S derivation, and linear_to_seq
+only rearranges it.
 """
 from __future__ import annotations
 
@@ -41,9 +44,6 @@ class Derivation:
 
     def height(self) -> int:
         return 1 + max((p.height() for p in self.premises), default=0)
-
-    def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
 
 
 N_RULES = {"id", "e_E", "e_I", "p_E", "p_I", "sign_E", "sign_I",
@@ -312,8 +312,6 @@ def _is_factor(a: Term, over: frozenset[Term], theories) -> bool:
 
 
 def _check_l(d: Derivation, theories, path: str, cache: _NormCache) -> None:
-    from . import engine
-
     g, m = d.conclusion.gamma, d.conclusion.goal
     rule = d.rule
     if rule not in L_RULES:
@@ -321,13 +319,13 @@ def _check_l(d: Derivation, theories, path: str, cache: _NormCache) -> None:
     _check_sequent_normal(d, theories, path, cache)
 
     def side(goal: Term, what: str) -> None:
-        if engine.right_deduce(g, goal, theories) is None:
-            _fail(path, f"side condition fails: {what} {goal} is not right-deducible")
         embedded = d.aux.get("right")
-        if embedded is not None:
-            if embedded.conclusion != Sequent(g, goal):
-                _fail(path, "embedded right proof concludes the wrong sequent")
-            _check_node(embedded, theories, f"{path}.right", cache)
+        if not isinstance(embedded, Derivation):
+            _fail(path, f"side condition unproved: no right proof that {what} {goal} "
+                        "is right-deducible")
+        if embedded.conclusion != Sequent(g, goal):
+            _fail(path, "embedded right proof concludes the wrong sequent")
+        _check_right(embedded, theories, f"{path}.right", cache)
 
     if rule == "r":
         _arity(d, 0, path)
@@ -370,26 +368,16 @@ def _check_l(d: Derivation, theories, path: str, cache: _NormCache) -> None:
         _fail(path, f"premise Gamma of {rule} is wrong")
 
 
-# --- structural measures and normal form -------------------------------------
+def _check_right(d: Derivation, theories, path: str, cache: _NormCache) -> None:
+    """A right proof: an S derivation that uses only id and right rules."""
+    if d.system != "S" or (d.rule != "id" and d.rule not in S_RIGHT_RULES):
+        _fail(path, f"a right proof uses only S id and right rules, found {d.system} {d.rule}")
+    _check_s(d, theories, path, cache)
+    for i, p in enumerate(d.premises):
+        _check_right(p, theories, f"{path}.premises[{i}]", cache)
 
 
-def left_rule_count(d: Derivation) -> int:
-    own = 0
-    if d.system == "L" and d.rule != "r":
-        own = 1
-    if d.system == "S" and d.rule in S_LEFT_RULES:
-        own = 1
-    return own + sum(left_rule_count(p) for p in d.premises)
-
-
-def sequents_of(d: Derivation) -> frozenset[Sequent]:
-    out = {d.conclusion}
-    for p in d.premises:
-        out |= sequents_of(p)
-    emb = d.aux.get("right")
-    if isinstance(emb, Derivation):
-        out |= sequents_of(emb)
-    return frozenset(out)
+# --- normal form --------------------------------------------------------------
 
 
 def is_normal_derivation(d: Derivation) -> bool:
@@ -443,22 +431,20 @@ def _weaken(d: Derivation, extra: frozenset[Term]) -> Derivation:
 
 
 def linear_to_seq(d: Derivation, theories) -> Derivation:
-    """Read an engine derivation as the sequent-calculus proof it abbreviates."""
-    from . import engine
+    """Read an L derivation as the sequent-calculus proof it abbreviates.
 
-    theories = as_theories(theories)
+    Each side condition becomes the right proof its node carries; a node
+    without one raises ValueError.
+    """
     if d.system != "L":
         raise ValueError("linear_to_seq expects an L derivation")
     g, m = d.conclusion.gamma, d.conclusion.goal
 
     def right_proof(goal: Term) -> Derivation:
         emb = d.aux.get("right")
-        if isinstance(emb, Derivation) and emb.conclusion == Sequent(g, goal):
-            return emb
-        rp = engine.right_deduce(g, goal, theories)
-        if rp is None:
-            raise ValueError("side condition is not right-deducible")
-        return rp
+        if not (isinstance(emb, Derivation) and emb.conclusion == Sequent(g, goal)):
+            raise ValueError(f"L rule {d.rule} carries no right proof of {goal}")
+        return emb
 
     if d.rule == "r":
         return right_proof(m)

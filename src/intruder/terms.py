@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Iterable, Iterator
+from typing import Iterable
 
 NAME, VAR, CAPP, EAPP = range(4)  # also the major sort rank of a head
 
@@ -125,21 +125,6 @@ def enc(m: Term, k: Term) -> Term:
     return capp("enc", (m, k))
 
 
-def canonicalize(t: Term) -> Term:
-    """Rebuild a term bottom-up through the smart constructors (idempotent)."""
-    if not t.args:
-        return t
-    args = tuple(canonicalize(a) for a in t.args)
-    if t.kind == CAPP:
-        return capp(t.sym, args)
-    return eapp(t.sym, args)
-
-
-def equal_mod_ac(s: Term, t: Term) -> bool:
-    """Equality modulo AC; on canonical terms this is object identity."""
-    return canonicalize(s) is canonicalize(t)
-
-
 def subterms(t: Term) -> frozenset[Term]:
     """All subterms of ``t``, with AC arguments read from the flattened node."""
     seen: set[Term] = set()
@@ -151,14 +136,6 @@ def subterms(t: Term) -> frozenset[Term]:
         seen.add(u)
         stack.extend(u.args)
     return frozenset(seen)
-
-
-def proper_subterms(t: Term) -> frozenset[Term]:
-    return subterms(t) - {t}
-
-
-def immediate_subterms(t: Term) -> tuple[Term, ...]:
-    return t.args
 
 
 def size(t: Term) -> int:
@@ -175,10 +152,6 @@ def size(t: Term) -> int:
 
 def variables(t: Term) -> frozenset[Term]:
     return frozenset(u for u in subterms(t) if u.kind == VAR)
-
-
-def is_ground(t: Term) -> bool:
-    return not variables(t)
 
 
 def substitute(t: Term, mapping: dict[Term, Term]) -> Term:
@@ -221,54 +194,6 @@ def e_factors(t: Term, theory) -> frozenset[Term]:
                 if is_e_alien(a, theory):
                     out.add(a)
     return frozenset(out)
-
-
-class TermIndex:
-    """The saturated node set of a deduction problem.
-
-    Holds St(Gamma ∪ {goal}): the problem terms, their proper subterms, and
-    every sign(A, B) over pairs of proper subterms.  Nodes carry their
-    origin tags through ``in_gamma`` / ``is_goal``.
-    """
-
-    __slots__ = ("gamma", "goal", "nodes")
-
-    def __init__(self, gamma: frozenset[Term], goal: Term, nodes: frozenset[Term]):
-        self.gamma = gamma
-        self.goal = goal
-        self.nodes = nodes
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-    def __contains__(self, t: Term) -> bool:
-        return t in self.nodes
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter(sorted(self.nodes, key=lambda t: t.key))
-
-    def in_gamma(self, t: Term) -> bool:
-        return t in self.gamma
-
-    def is_goal(self, t: Term) -> bool:
-        return t is self.goal
-
-
-def saturate(gamma: Iterable[Term], goal: Term) -> TermIndex:
-    gamma = frozenset(gamma)
-    base = gamma | {goal}
-    pst: set[Term] = set()
-    for t in base:
-        pst |= proper_subterms(t)
-    # sst exists to absorb the sign terms the signature-extraction rule can
-    # create; only that rule introduces them and it needs one to start from,
-    # so a sign-free problem never leaves base ∪ pst.
-    sst: set[Term] = set()
-    if any(t.kind == CAPP and t.sym == "sign" for t in base | pst):
-        sorted_pst = sorted(pst, key=lambda t: t.key)
-        sst = {sign(a, b) for a in sorted_pst for b in sorted_pst}
-    return TermIndex(gamma, goal, frozenset(base | pst | sst))
 
 
 # --- concrete syntax --------------------------------------------------------
@@ -377,8 +302,17 @@ class _Parser:
 
 
 def parse_term(text: str) -> Term:
-    """Parse the concrete term grammar; raises ParseError with a column."""
-    return _Parser(text).parse()
+    """Parse the concrete term grammar; raises ParseError with a column.
+
+    The parser recurses once per nesting level, so a term nested deeper than
+    the interpreter's recursion limit allows is an error in the input too.
+    """
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)][2]
+        raise ParseError("term nested too deep to parse", pos) from None
 
 
 _PRECEDENCE = {"+": 1, "*": 2}

@@ -5,13 +5,13 @@ are reproducible; acceptance tests pin their own seeds.
 """
 import itertools
 
+from oracles import left_rule_count, saturate, sequents_of
 from intruder import (Constraint, ConstraintSystem, deduce, make_theories,
-                      normalize, proper, right, saturate, system)
+                      normalize, proper, right, system)
 from intruder import engine
 from intruder.constraints import (RIGHT, Substitution, measure_less,
                                   system_measure, verify_solution, well_formed)
-from intruder.proofs import (find_error, is_normal_derivation, left_rule_count,
-                             linear_to_seq, sequents_of)
+from intruder.proofs import find_error, is_normal_derivation, linear_to_seq
 from intruder.terms import Term, capp, eapp, enc, name, pair, var
 
 CONSTRUCTORS = (("pub", 1), ("sign", 2), ("blind", 2), ("pair", 2), ("enc", 2))

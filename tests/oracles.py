@@ -1,20 +1,29 @@
-"""Slow reference implementations that the fast paths are checked against.
+"""Slow reference implementations and proof measures the tests check against.
 
 rescan_deduce is the saturation sweep that engine.deduce's worklist
 replaced: every pass re-lists and retries every left-rule candidate of the
 whole context, until a pass adds nothing.  It shares the rule semantics
 (engine._apply_left, engine._right) with the engine, so a disagreement
 points at the worklist's scheduling and parking, not at the rules.
+
+nd_closure_oracle is independent of the engine: a forward closure over the
+natural-deduction rules inside the saturated subterm set (saturate), with
+equational steps done by atom-vector arithmetic rather than by the
+elementary solvers.  applicable asks whether one left rule instance fires.
+left_rule_count and sequents_of measure a derivation for the structural
+bounds in conftest.assert_structural.
 """
 from __future__ import annotations
 
+import itertools
 from random import Random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from intruder.engine import _apply_left, _linear_proof, _right, _rules_for
-from intruder.proofs import Derivation
-from intruder.rewriting import Abstraction, as_theories, normalize
-from intruder.terms import Term, e_factors
+from intruder.proofs import S_LEFT_RULES, Derivation, Sequent
+from intruder.rewriting import (Abstraction, Theory, as_theories, normalize,
+                                theory_vector, vector_term)
+from intruder.terms import CAPP, Term, capp, e_factors, eapp, sign, subterms
 
 
 def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
@@ -64,3 +73,224 @@ def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
                 return _linear_proof(steps, delta, goal, rp)
         if not grew:
             return None
+
+
+# --- the saturated subterm set ------------------------------------------------
+
+
+def proper_subterms(t: Term) -> frozenset[Term]:
+    return subterms(t) - {t}
+
+
+class TermIndex:
+    """The saturated node set of a deduction problem.
+
+    Holds St(Gamma ∪ {goal}): the problem terms, their proper subterms, and
+    every sign(A, B) over pairs of proper subterms.  Nodes carry their
+    origin tags through ``in_gamma`` / ``is_goal``.
+    """
+
+    __slots__ = ("gamma", "goal", "nodes")
+
+    def __init__(self, gamma: frozenset[Term], goal: Term, nodes: frozenset[Term]):
+        self.gamma = gamma
+        self.goal = goal
+        self.nodes = nodes
+
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
+
+    def __contains__(self, t: Term) -> bool:
+        return t in self.nodes
+
+    def __iter__(self) -> Iterator[Term]:
+        return iter(sorted(self.nodes, key=lambda t: t.key))
+
+    def in_gamma(self, t: Term) -> bool:
+        return t in self.gamma
+
+    def is_goal(self, t: Term) -> bool:
+        return t is self.goal
+
+
+def saturate(gamma: Iterable[Term], goal: Term) -> TermIndex:
+    gamma = frozenset(gamma)
+    base = gamma | {goal}
+    pst: set[Term] = set()
+    for t in base:
+        pst |= proper_subterms(t)
+    # sst exists to absorb the sign terms the signature-extraction rule can
+    # create; only that rule introduces them and it needs one to start from,
+    # so a sign-free problem never leaves base ∪ pst.
+    sst: set[Term] = set()
+    if any(t.kind == CAPP and t.sym == "sign" for t in base | pst):
+        sorted_pst = sorted(pst, key=lambda t: t.key)
+        sst = {sign(a, b) for a in sorted_pst for b in sorted_pst}
+    return TermIndex(gamma, goal, frozenset(base | pst | sst))
+
+
+# --- measures of a derivation -------------------------------------------------
+
+
+def left_rule_count(d: Derivation) -> int:
+    own = 0
+    if d.system == "L" and d.rule != "r":
+        own = 1
+    if d.system == "S" and d.rule in S_LEFT_RULES:
+        own = 1
+    return own + sum(left_rule_count(p) for p in d.premises)
+
+
+def sequents_of(d: Derivation) -> frozenset[Sequent]:
+    out = {d.conclusion}
+    for p in d.premises:
+        out |= sequents_of(p)
+    emb = d.aux.get("right")
+    if isinstance(emb, Derivation):
+        out |= sequents_of(emb)
+    return frozenset(out)
+
+
+# --- left-rule applicability --------------------------------------------------
+
+
+def applicable(rule: str, principal: Term, gamma: Iterable[Term], goal: Term,
+               theories) -> Sequent | None:
+    """The premise sequent of a left rule instance, or None if it cannot fire."""
+    theories = as_theories(theories)
+    gamma = frozenset(gamma)
+    if rule == "ls" and not _is_factor(principal, gamma | {goal}, theories):
+        return None
+    table = Abstraction(theories)
+    hit = _apply_left(rule, principal, gamma, goal, theories, table, {})
+    if hit is None:
+        return None
+    added, _ = hit
+    return Sequent(gamma | set(added), goal)
+
+
+def _is_factor(a: Term, over: frozenset[Term], theories) -> bool:
+    return any(a in e_factors(t, th) for t in over for th in theories)
+
+
+# --- independent reference closure --------------------------------------------
+
+
+class OracleBoundExceeded(RuntimeError):
+    """The reference closure hit an enumeration or depth limit."""
+
+
+_ORACLE_COMBO_CAP = 200_000
+
+
+def nd_closure_oracle(gamma: Iterable[Term], goal: Term, theories,
+                      depth_bound: int | None = None,
+                      coeff_bound: int = 4) -> bool:
+    """Forward closure over the natural-deduction rules, for cross-checking.
+
+    Analysis rules run unrestricted inside the known set; introduction rules
+    only target saturated subterms, which keeps the closure finite. Equational
+    steps enumerate small coefficient combinations of known terms as atom
+    vectors (rewriting.theory_vector and vector_term, the arithmetic that
+    normalize evaluates and that the tests check against rule-based
+    rewriting), so nothing here depends on the elementary solvers. Exact for
+    the empty theory and exclusive-or; for AC it is exact whenever coeff_bound
+    is at least the largest multiplicity appearing in the saturated set, and
+    for abelian groups coefficients beyond coeff_bound are out of reach.
+    Raises OracleBoundExceeded when an enumeration would explode or the depth
+    bound runs out before the fixpoint.
+    """
+    theories = as_theories(theories)
+    known = {normalize(t, theories) for t in gamma}
+    goal = normalize(goal, theories)
+    if not known:
+        return False
+    index = saturate(known, goal)
+    targets = frozenset(index)
+
+    rounds = 0
+    while True:
+        if goal in known:
+            return True
+        new = _close_once(known, targets, theories, coeff_bound)
+        if not new:
+            return goal in known
+        known |= new
+        rounds += 1
+        if depth_bound is not None and rounds >= depth_bound:
+            raise OracleBoundExceeded(f"no fixpoint within {depth_bound} rounds")
+
+
+def _close_once(known: set[Term], targets: frozenset[Term], theories,
+                coeff_bound: int) -> set[Term]:
+    new: set[Term] = set()
+
+    def add(t: Term) -> None:
+        if t not in known:
+            new.add(t)
+
+    for t in known:
+        if t.kind != CAPP:
+            continue
+        if t.sym == "pair":
+            add(t.args[0])
+            add(t.args[1])
+        elif t.sym == "enc":
+            if t.args[1] in known:
+                add(t.args[0])
+        elif t.sym == "sign":
+            payload, key = t.args
+            if capp("pub", (key,)) in known:
+                add(payload)
+            if payload.kind == CAPP and payload.sym == "blind" and payload.args[1] in known:
+                add(sign(payload.args[0], key))
+        elif t.sym == "blind":
+            if t.args[1] in known:
+                add(t.args[0])
+
+    for st in targets:
+        if st in known or st.kind != CAPP or st.sym == "pub":
+            continue
+        if all(a in known for a in st.args):
+            add(st)
+
+    for th in theories:
+        for t in _equational_step(known, targets, th, theories, coeff_bound):
+            add(t)
+    return new
+
+
+def _equational_step(known: set[Term], targets: frozenset[Term], th: Theory,
+                     theories, coeff_bound: int) -> Iterable[Term]:
+    if th.backend == "empty":
+        return
+    members = sorted(known, key=lambda t: t.key)
+    vectors = [theory_vector(m, th) for m in members]
+    n = len(members)
+    if th.backend == "xor":
+        lo, hi = 0, 1
+        unit = eapp("0", ())
+    elif th.backend == "ac":
+        lo, hi = 0, coeff_bound
+        unit = None
+    else:  # ag
+        lo, hi = -coeff_bound, coeff_bound
+        unit = eapp("1", ())
+    if unit is not None and unit in targets and members:
+        # m+m (xor) or m+inv(m) (ag): one coefficient per member cannot say it
+        yield unit
+    width = hi - lo + 1
+    if width ** n > _ORACLE_COMBO_CAP:
+        raise OracleBoundExceeded(f"{width}^{n} coefficient vectors is too many")
+    for coeffs in itertools.product(range(lo, hi + 1), repeat=n):
+        if not any(coeffs):
+            continue
+        acc: dict[Term, int] = {}
+        for vec, c in zip(vectors, coeffs):
+            if c:
+                for atom, k in vec.items():
+                    acc[atom] = acc.get(atom, 0) + c * k
+        t = vector_term(acc, th)
+        if t is not None and t in targets:
+            yield t

@@ -10,12 +10,13 @@ from contextlib import contextmanager
 
 from conftest import (GroundOracle, assert_structural, deduce_checked,
                       gen_instance, gen_wf_system, ground_universe)
+from oracles import OracleBoundExceeded, nd_closure_oracle
 from test_elementary import ag_brute, gen_elem_instance, xor_brute
 from intruder.constraints import (PROPER, RIGHT, Constraint, extract_solution,
                                   measure_less, solve, system, system_measure,
                                   verify_solution, well_formed)
 from intruder.elementary import elem_deduce, replay
-from intruder.engine import OracleBoundExceeded, deduce, nd_closure_oracle
+from intruder.engine import deduce
 from intruder.proofs import find_error, linear_to_seq, nd_to_seq, seq_to_nd
 from intruder.rewriting import ag_theory, make_theories, xor_theory
 from intruder.terms import CAPP, capp, name, pair, parse_term, subterms, var

@@ -161,14 +161,28 @@ def test_constraints_unsatisfiable(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["satisfiable"] is False
 
 
-def test_deep_goal_is_an_internal_error_not_a_verdict():
-    goal = "pair(" * 1200 + "a" + ", a)" * 1200
+def test_deep_goal_is_an_input_error():
+    goal = "pair(" * 2000 + "a" + ", a)" * 2000
     out = subprocess.run([sys.executable, "-m", "intruder.cli", "deduce", "--knows", "a",
                           "--goal", goal, "--theory", "empty"],
                          env=_src_env(), capture_output=True, text=True, timeout=60)
-    assert out.returncode == 3, out.stderr
+    assert out.returncode == 2, out.stderr
     assert out.stdout == ""
-    assert out.stderr.startswith("error: internal:")
+    assert out.stderr.startswith("error: --goal: term nested too deep"), out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_any_internal_exception_exits_3(capsys, monkeypatch):
+    def broken(*args, **kw):
+        raise TypeError("planted bug")
+
+    monkeypatch.setattr(engine, "deduce", broken)
+    rc = cli.main(["deduce", "--knows", "enc(a, k), k", "--goal", "a",
+                   "--theory", "empty"])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal: TypeError: planted bug")
 
 
 def test_solver_giving_up_exits_3(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from intruder.elementary import ElemWitness, elem_deduce, replay
 from intruder.rewriting import (Theory, ac_theory, ag_theory, empty_theory,
                                 normalize, xor_theory)
-from intruder.terms import eapp, enc, equal_mod_ac, name, pair, sign
+from intruder.terms import eapp, enc, name, pair, sign
 
 a, b, c, d = (name(n) for n in "abcd")
 zero = eapp("0", ())

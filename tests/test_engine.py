@@ -3,10 +3,10 @@ import random
 import pytest
 
 from conftest import assert_structural, deduce_checked, gen_ground, gen_instance
-from oracles import rescan_deduce
+from oracles import (OracleBoundExceeded, applicable, nd_closure_oracle,
+                     rescan_deduce)
 from intruder import engine
-from intruder.engine import (OracleBoundExceeded, applicable, deduce,
-                             deducible, nd_closure_oracle, right_deduce)
+from intruder.engine import deduce, deducible, right_deduce
 from intruder.proofs import Sequent, find_error
 from intruder.rewriting import make_theories, normalize
 from intruder.terms import blind, eapp, enc, name, pair, pub, sign, subterms

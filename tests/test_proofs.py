@@ -1,18 +1,20 @@
+import ast
 import json
 import random
 
 import pytest
 
 from conftest import gen_instance
+from oracles import left_rule_count, sequents_of
 from intruder import proofs
 from intruder.elementary import ElemWitness
 from intruder.engine import deduce
 from intruder.proofs import (Derivation, Sequent, check, dumps, find_error,
-                             from_json, is_normal_derivation, left_rule_count,
-                             linear_to_seq, loads, nd_to_seq, render_text,
-                             seq_to_nd, sequents_of, to_json, weaken)
+                             from_json, is_normal_derivation, linear_to_seq,
+                             loads, nd_to_seq, render_text, seq_to_nd, to_json,
+                             weaken)
 from intruder.rewriting import make_theories
-from intruder.terms import blind, eapp, enc, name, pair, pub, sign, var
+from intruder.terms import blind, eapp, enc, name, pair, pub, sign
 
 a, b, c, k, m, r = (name(n) for n in "abckmr")
 EMPTYS = make_theories(("empty",))
@@ -86,6 +88,91 @@ def test_check_l_side_conditions():
                      {"principal": enc(a, k)})
     err = find_error(bad, EMPTYS)
     assert err is not None and "right-deducible" in err
+
+
+SIDE_CONDITION_CASES = {
+    "le": ({enc(a, k), k}, a, EMPTYS),
+    "blind1": ({blind(m, r), r}, m, EMPTYS),
+    "blind2": ({sign(blind(m, r), k), r, pub(k)}, m, EMPTYS),
+    "ls": ({a, b}, plus(pair(a, b), a), ACS),
+    "r": ({a, b}, pair(a, b), EMPTYS),
+}
+
+
+def _engine_node(rule):
+    """An engine proof for the rule's case, and its first node of that rule."""
+    gamma, goal, ths = SIDE_CONDITION_CASES[rule]
+    d = deduce(gamma, goal, ths)
+    node = d
+    while node.rule != rule:
+        node = node.premises[0]
+    assert find_error(d, ths) is None
+    return d, node, ths
+
+
+@pytest.mark.parametrize("rule", sorted(SIDE_CONDITION_CASES))
+def test_check_l_requires_the_embedded_right_proof(rule):
+    d, node, ths = _engine_node(rule)
+    del node.aux["right"]
+    err = find_error(d, ths)
+    assert err is not None and "right-deducible" in err, err
+    with pytest.raises(ValueError):
+        linear_to_seq(d, ths)
+
+
+@pytest.mark.parametrize("rule", sorted(SIDE_CONDITION_CASES))
+def test_check_l_rejects_a_right_proof_of_another_sequent(rule):
+    d, node, ths = _engine_node(rule)
+    g = node.conclusion.gamma
+    side_goal = node.aux["right"].conclusion.goal
+    other = next(t for t in sorted(g, key=lambda u: u.key) if t is not side_goal)
+    node.aux["right"] = s_id(g, other, ths[0].name)
+    assert check(node.aux["right"], ths)
+    err = find_error(d, ths)
+    assert err is not None and "wrong sequent" in err, err
+
+
+def _smuggled(via):
+    """An L proof over enc(a,k), pair(k,b) whose side condition, not
+    right-deducible there, is proved by a valid S proof that uses left rules:
+    the le key k by p_L or by a cut, or the r goal pair(b,k) by a p_R whose
+    premises use p_L."""
+    g = frozenset({enc(a, k), pair(k, b)})
+
+    def p_l(goal):
+        return Derivation("S", "p_L", Sequent(g, goal), (s_id(g | {k, b}, goal),),
+                          {"principal": pair(k, b)})
+
+    if via == "p_R":
+        side = Derivation("S", "p_R", Sequent(g, pair(b, k)), (p_l(b), p_l(k)))
+        return side, Derivation("L", "r", side.conclusion, (), {"right": side})
+    side = p_l(k)
+    if via == "cut":
+        side = Derivation("S", "cut", Sequent(g, k), (s_id(g, pair(k, b)), side))
+    leaf = Derivation("L", "r", Sequent(g | {a, k}, a), (), {"right": s_id(g | {a, k}, a)})
+    return side, Derivation("L", "le", Sequent(g, a), (leaf,),
+                            {"principal": enc(a, k), "right": side})
+
+
+@pytest.mark.parametrize("via,found", [("p_L", "p_L"), ("cut", "cut"), ("p_R", "p_L")])
+def test_check_l_rejects_a_right_proof_with_left_rules_or_cut(via, found):
+    side, d = _smuggled(via)
+    assert check(side, EMPTYS)  # a valid S proof, but not a right proof
+    err = find_error(d, EMPTYS)
+    assert err is not None and f"only S id and right rules, found S {found}" in err, err
+
+
+def test_proofs_module_does_not_import_the_engine():
+    with open(proofs.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not [n for n in imported if n.split(".")[-1] == "engine"], imported
 
 
 def test_check_engine_output_on_random_instances():

@@ -12,8 +12,8 @@ from intruder.rewriting import (Abstraction, NormalizationBudgetExceeded,
                                 is_normal, make_theories, match_mod_ac,
                                 normalize, one_step_rewrites,
                                 rewrite_normalize, xor_theory)
-from intruder.terms import (blind, capp, eapp, enc, equal_mod_ac, name, pair,
-                            substitute, var)
+from intruder.terms import (blind, capp, eapp, enc, name, pair, substitute,
+                            var)
 
 a, b, c, d, k = (name(n) for n in "abcdk")
 x, y, z = var("x"), var("y"), var("z")
