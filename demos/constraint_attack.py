@@ -9,7 +9,8 @@ system either exhibits a ground attack or proves none exists.
 import textwrap
 
 from intruder.constraints import (extract_solution, parse_constraint_file,
-                                  solve, step, verify_solution, well_formed)
+                                  solve, successors, verify_solution,
+                                  well_formed)
 
 
 def run(title, text, all_solutions=False):
@@ -22,8 +23,8 @@ def run(title, text, all_solutions=False):
         print("rejected:", "; ".join(problems))
         print()
         return
-    moves = sorted({rule for rule, _theta, _next in step(system)})
-    print("applicable reductions at the root:", ", ".join(moves) or "none")
+    moves = sorted({edge[0] for edge in successors(system)})
+    print("reductions the solver tries at the root:", ", ".join(moves) or "none")
     edges = [0]
     solutions = solve(system, all_solutions=all_solutions,
                       on_edge=lambda *e: edges.__setitem__(0, edges[0] + 1))

@@ -13,7 +13,7 @@ from .proofs import (Derivation, Sequent, check, find_error, weaken,
                      is_normal_derivation, linear_to_seq, nd_to_seq, seq_to_nd,
                      to_json, from_json, dumps, loads, render_text)
 from .constraints import (Constraint, ConstraintSystem, Substitution, Solution,
-                          proper, right, system, mgu, well_formed, step,
+                          proper, right, system, mgu, well_formed,
                           successors, solve, extract_solution, verify_solution,
                           constraint_measure, system_measure, measure_less,
                           shared_names, effective_public, parse_constraint_file)

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: deduce (decide a derivability problem and optionally emit the
-proof), constraints (solve a deducibility constraint file), check (validate
-a proof object), translate (convert a proof between systems). Exit status 0
+proof), constraints (solve a deducibility constraint file, reducing the
+first unsolved constraint at each step), check (validate a proof object),
+translate (convert a proof between systems). Exit status 0
 means derivable, satisfiable, or valid; 1 the opposite; 2 a problem with the
 input itself; 3 an internal error or an exhausted resource (a recursion
 overflow, the solver giving up, a proof or solution that failed its own
@@ -151,8 +152,7 @@ def cmd_constraints(args) -> int:
     if problems:
         raise InputError("not well formed: " + "; ".join(problems))
     try:
-        solutions = cstr.solve(system, strategy=args.strategy,
-                               all_solutions=args.all_solutions)
+        solutions = cstr.solve(system, all_solutions=args.all_solutions)
     except ValueError as e:
         raise InputError(str(e)) from None
     grounds = []
@@ -237,7 +237,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(str(e)) from None
 
 
@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constraint file, or - for stdin")
     p.add_argument("--all-solutions", action="store_true")
     p.add_argument("--emit", choices=("text", "json"), default="text")
-    p.add_argument("--strategy", choices=("exhaustive", "first-unsolved"),
-                   default="exhaustive")
+    # accepted for older scripts; first-unsolved is the only strategy
+    p.add_argument("--strategy", choices=("first-unsolved",), help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_constraints)
 
     p = sub.add_parser("check", help="validate a proof object")

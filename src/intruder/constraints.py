@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
+from . import engine
+from .rewriting import make_theories
 from .terms import (CAPP, NAME, VAR, Term, format_term, parse_term, size,
                     substitute, variables)
 
@@ -22,6 +24,7 @@ PROPER = "proper"
 RIGHT = "right"
 
 _SPLITTABLE = ("pair", "enc")
+_EMPTY = make_theories(("empty",))
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,6 @@ class ConstraintSystem:
     def __repr__(self) -> str:
         head = [f"public {format_term(self.public_name)}"] if self.public_name else []
         return "\n".join(head + [repr(c) for c in self.constraints])
-
-    def __iter__(self) -> Iterator[Constraint]:
-        return iter(self.constraints)
-
-    def __len__(self) -> int:
-        return len(self.constraints)
 
     def is_solved(self) -> bool:
         return all(c.is_solved() for c in self.constraints)
@@ -109,9 +106,6 @@ class Substitution:
         m = self.as_dict()
         return Constraint(c.kind, frozenset(substitute(t, m) for t in c.sigma),
                           substitute(c.goal, m))
-
-    def apply_system(self, s: ConstraintSystem) -> ConstraintSystem:
-        return s.replace(tuple(self.apply_constraint(c) for c in s.constraints))
 
     def compose(self, later: Substitution) -> Substitution:
         """The substitution acting as self first, then later."""
@@ -251,9 +245,6 @@ def _recoverable(cs: tuple[Constraint, ...], i: int, j: int) -> bool:
     solution makes those goals deducible, so a syntactic derivation here
     witnesses the semantic containment for every solution.
     """
-    from . import engine
-    from .rewriting import make_theories
-
     vi: set[Term] = set()
     for t in cs[i].sigma:
         vi |= variables(t)
@@ -261,8 +252,7 @@ def _recoverable(cs: tuple[Constraint, ...], i: int, j: int) -> bool:
     usable |= {cs[k].goal for k in range(i)}
     if not usable:
         return not cs[i].sigma
-    ths = make_theories(("empty",))
-    return all(t in usable or engine.deduce(usable, t, ths) is not None
+    return all(t in usable or engine.deduce(usable, t, _EMPTY) is not None
                for t in cs[i].sigma)
 
 
@@ -366,52 +356,38 @@ def _apply(s: ConstraintSystem, rule: str, index: int,
     return result
 
 
-def step(s: ConstraintSystem) -> list[tuple[str, Substitution, ConstraintSystem]]:
-    """The complete set of one-step reducts of a well-formed system.
+def successors(s: ConstraintSystem):
+    """The (rule, index, member, system, substitution) edges out of a system.
 
-    Each entry carries the rule tag and the substitution introduced by the
-    step (the identity except for C1). Every reduct is itself well formed
-    and strictly smaller in the termination measure.
+    Only the first constraint that is not solved is reduced. Which constraint
+    to reduce is a don't-care choice (Millen and Shmatikov, CCS 2001): every
+    solution stays an instance of a solved form reachable this way, so only
+    the choice of rule needs search.
     """
-    out = []
-    # reduction acts on arbitrary constraint lists; well-formedness is only
-    # promised for successors of well-formed systems
-    parent_ok = not well_formed(s)
-    for rule, _index, _member, nxt, theta in successors(s):
-        if parent_ok:
-            assert not well_formed(nxt), f"{rule} produced an ill-formed system"
-        out.append((rule, theta, nxt))
-    return out
+    for i, c in enumerate(s.constraints):
+        if not c.is_solved():
+            yield from _reductions_at(s, i)
+            return
 
 
-def successors(s: ConstraintSystem, strategy: str = "exhaustive"):
-    """All (rule, index, member, system, substitution) edges out of a system."""
-    indices: Iterable[int]
-    if strategy == "first-unsolved":
-        unsolved = [i for i, c in enumerate(s.constraints) if not c.is_solved()]
-        indices = unsolved[:1]
-    elif strategy == "exhaustive":
-        indices = range(len(s.constraints))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    for i in indices:
-        c = s.constraints[i]
-        members = sorted(c.sigma, key=lambda t: t.key)
-        for n in members:
-            hit = _apply(s, "C1", i, n)
+def _reductions_at(s: ConstraintSystem, i: int):
+    """Every edge that reduces constraint i, in a fixed rule order."""
+    members = sorted(s.constraints[i].sigma, key=lambda t: t.key)
+    for n in members:
+        hit = _apply(s, "C1", i, n)
+        if hit is not None:
+            yield ("C1", i, n) + hit
+    hit = _apply(s, "C2", i)
+    if hit is not None:
+        yield ("C2", i, None) + hit
+    hit = _apply(s, "C3", i)
+    if hit is not None:
+        yield ("C3", i, None) + hit
+    for n in members:
+        for rule in ("C4", "C5"):
+            hit = _apply(s, rule, i, n)
             if hit is not None:
-                yield ("C1", i, n) + hit
-        hit = _apply(s, "C2", i)
-        if hit is not None:
-            yield ("C2", i, None) + hit
-        hit = _apply(s, "C3", i)
-        if hit is not None:
-            yield ("C3", i, None) + hit
-        for n in members:
-            for rule in ("C4", "C5"):
-                hit = _apply(s, rule, i, n)
-                if hit is not None:
-                    yield (rule, i, n) + hit
+                yield (rule, i, n) + hit
 
 
 # --- search ---------------------------------------------------------------------------
@@ -427,16 +403,17 @@ class Solution:
         return f"Solution(subst={self.subst!r})"
 
 
-def solve(s: ConstraintSystem, strategy: str = "exhaustive",
-          all_solutions: bool = False, max_nodes: int = 200_000,
-          on_edge=None) -> list[Solution]:
-    """Solved forms reachable from a well-formed system.
+def solve(s: ConstraintSystem, all_solutions: bool = False,
+          max_nodes: int = 200_000, on_edge=None) -> list[Solution]:
+    """Solved forms reachable from a well-formed system by successors().
 
     Returns the first solution found unless all_solutions is set, in which
-    case distinct (solved system, substitution) pairs are collected. The
-    search deduplicates visited states, so it terminates even when different
-    rule orders commute. on_edge, if given, is called with
-    (parent, rule, substitution, child) for every reduction edge explored.
+    case distinct (solved system, substitution) pairs are collected; every
+    solution of s is then an instance of one of them. Visited states are
+    deduplicated, since different rule sequences can reach the same system.
+    More than max_nodes states raises RuntimeError. on_edge, if given, is
+    called with (parent, rule, substitution, child) for every reduction edge
+    explored.
     """
     problems = well_formed(s)
     if problems:
@@ -465,7 +442,7 @@ def solve(s: ConstraintSystem, strategy: str = "exhaustive",
                 found_keys.add(k)
                 found.append(Solution(current, theta.restrict(orig_vars), pub))
             return not all_solutions
-        for rule, _i, _n, nxt, delta in successors(current, strategy):
+        for rule, _i, _n, nxt, delta in successors(current):
             if on_edge is not None:
                 on_edge(current, rule, delta, nxt)
             if dfs(nxt, theta.compose(delta)):
@@ -480,26 +457,19 @@ def extract_solution(sigma: Substitution, original: ConstraintSystem) -> Substit
     """Ground the recorded bindings: every variable of the original system is
     sent through sigma, and whatever variables remain go to the public name."""
     pub = effective_public(original)
-    if pub is None:
+    vs = original.variables()
+    if vs and pub is None:
         raise ValueError("system has no public name to instantiate with")
     out: dict[Term, Term] = {}
-    for v in sorted(original.variables(), key=lambda t: t.key):
+    for v in sorted(vs, key=lambda t: t.key):
         t = sigma(v)
         fill = {u: pub for u in variables(t)}
         out[v] = substitute(t, fill)
     return Substitution.of(out)
 
 
-def verify_solution(s: ConstraintSystem, assignment: Substitution,
-                    theories=("empty",)) -> bool:
+def verify_solution(s: ConstraintSystem, assignment: Substitution) -> bool:
     """Check a ground assignment against the original system with the engine."""
-    from . import engine
-    from .rewriting import as_theories, make_theories
-
-    ths = tuple(theories) if not hasattr(theories, "name") else (theories,)
-    if ths and isinstance(ths[0], str):
-        ths = make_theories(ths)
-    ths = as_theories(ths)
     for c in s.constraints:
         sigma = [assignment(t) for t in c.sigma]
         goal = assignment(c.goal)
@@ -507,10 +477,10 @@ def verify_solution(s: ConstraintSystem, assignment: Substitution,
             if variables(t):
                 return False
         if c.kind == PROPER:
-            if engine.deduce(sigma, goal, ths) is None:
+            if engine.deduce(sigma, goal, _EMPTY) is None:
                 return False
         else:
-            if engine.right_deduce(frozenset(sigma), goal, ths) is None:
+            if engine.right_deduce(frozenset(sigma), goal, _EMPTY) is None:
                 return False
     return True
 

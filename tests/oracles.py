@@ -12,6 +12,14 @@ equational steps done by atom-vector arithmetic rather than by the
 elementary solvers.  applicable asks whether one left rule instance fires.
 left_rule_count and sequents_of measure a derivation for the structural
 bounds in conftest.assert_structural.
+
+exhaustive_successors, step and exhaustive_solve are the constraint search
+that constraints.successors and solve replaced: every constraint is reduced,
+not only the first unsolved one, so every interleaving of commuting
+reductions is explored.  step lists all one-step reducts of a system and
+asserts that each child of a well-formed system is well formed, so every
+rule at every index stays checked; exhaustive_solve returns every solved
+form that search reaches.
 """
 from __future__ import annotations
 
@@ -19,6 +27,8 @@ import itertools
 from random import Random
 from typing import Iterable, Iterator
 
+from intruder.constraints import (ConstraintSystem, Solution, Substitution,
+                                  _reductions_at, effective_public, well_formed)
 from intruder.engine import _apply_left, _linear_proof, _right, _rules_for
 from intruder.proofs import S_LEFT_RULES, Derivation, Sequent
 from intruder.rewriting import (Abstraction, Theory, as_theories, normalize,
@@ -294,3 +304,54 @@ def _equational_step(known: set[Term], targets: frozenset[Term], th: Theory,
         t = vector_term(acc, th)
         if t is not None and t in targets:
             yield t
+
+
+# --- exhaustive constraint search ---------------------------------------------
+
+
+def exhaustive_successors(s: ConstraintSystem):
+    """The reduction edges of every constraint, solved or not, in index order."""
+    for i in range(len(s.constraints)):
+        yield from _reductions_at(s, i)
+
+
+def step(s: ConstraintSystem) -> list[tuple[str, Substitution, ConstraintSystem]]:
+    """(rule, substitution, reduct) for every one-step reduct of a system.
+
+    Reduction acts on arbitrary constraint lists; well-formedness is only
+    promised, and asserted, for the reducts of a well-formed system.
+    """
+    parent_ok = not well_formed(s)
+    out = []
+    for rule, _index, _member, nxt, theta in exhaustive_successors(s):
+        if parent_ok:
+            assert not well_formed(nxt), f"{rule} produced an ill-formed system"
+        out.append((rule, theta, nxt))
+    return out
+
+
+def exhaustive_solve(s: ConstraintSystem, max_nodes: int = 200_000) -> list[Solution]:
+    """Every distinct solved form that exhaustive_successors reaches from s."""
+    problems = well_formed(s)
+    if problems:
+        raise ValueError("; ".join(problems))
+    pub = effective_public(s)
+    orig_vars = s.variables()
+    seen: set = set()
+    found: list[Solution] = []
+    stack = [(s, Substitution())]
+    while stack:
+        current, theta = stack.pop()
+        theta = theta.restrict(orig_vars)
+        key = (current.constraints, theta)
+        if key in seen:
+            continue
+        seen.add(key)
+        if len(seen) > max_nodes:
+            raise RuntimeError(f"gave up after exploring {max_nodes} systems")
+        if current.is_solved():
+            found.append(Solution(current, theta, pub))
+            continue
+        for _rule, _i, _n, nxt, delta in exhaustive_successors(current):
+            stack.append((nxt, theta.compose(delta)))
+    return found

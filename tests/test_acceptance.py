@@ -220,7 +220,7 @@ def test_criterion_08(capsys):
         satisfiable = verified = 0
         for _ in range(500):
             s = gen_wf_system(rng)
-            sols = solve(s, strategy="first-unsolved", on_edge=counting_edge)
+            sols = solve(s, on_edge=counting_edge)
             if not sols:
                 continue
             satisfiable += 1
@@ -338,8 +338,7 @@ def test_criterion_10(capsys):
             # standalone run: generate a corpus of edges here
             rng = random.Random(1010)
             for _ in range(150):
-                solve(gen_wf_system(rng), strategy="first-unsolved",
-                      on_edge=counting_edge)
+                solve(gen_wf_system(rng), on_edge=counting_edge)
         info["edges"] = EDGES["count"]
         assert EDGES["count"] > 0
         assert not EDGES["violations"], EDGES["violations"][:3]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import gen_ground, gen_instance
+from conftest import gen_ground, gen_instance, gen_wf_system
 from intruder import cli, constraints, engine, proofs
 from intruder.proofs import dumps, linear_to_seq, loads, seq_to_nd
 from intruder.rewriting import make_theories
@@ -239,6 +239,81 @@ def test_constraints_all_solutions(tmp_path, capsys):
     # unifying the goal against either known pair binds ?x differently
     assert {"?x": "a"} in substs and {"?x": "b"} in substs
     assert set(grounds) == {"a", "b"}
+
+
+@pytest.mark.parametrize("data,rc,first_line", [
+    # no constraints, no variables: nothing needs the public name
+    (b"# nothing to solve\n", 0, "satisfiable (1 solved form)"),
+    (b"a |- \xff\n", 2, ""),
+])
+def test_constraints_degenerate_files(tmp_path, capsys, data, rc, first_line):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    assert cli.main(["constraints", "--input", str(path)]) == rc
+    assert capsys.readouterr().out.split("\n")[0] == first_line
+
+
+def test_constraints_strategy_flag_keeps_one_choice(tmp_path, capsys):
+    path = write(tmp_path, "public a\na |-R ?x\na, enc(n, pair(?x, a)) |- n\n")
+    assert cli.main(["constraints", "--input", path, "--all-solutions"]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["constraints", "--input", path, "--all-solutions",
+                     "--strategy", "first-unsolved"]) == 0
+    assert capsys.readouterr().out == plain
+    with pytest.raises(SystemExit) as e:
+        cli.main(["constraints", "--input", path, "--strategy", "exhaustive"])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exhaustive" in err
+
+
+_FUZZ_PIECES = ("pair(", "enc(", ")", ",", "|-", "|-R", "?", "?x", "public ",
+                "#", "\n", " ", "a", "k")
+
+
+def _fuzzed_constraint_file(rng) -> bytes:
+    """A random constraint file: a well-formed system, one with a few
+    characters or tokens deleted or inserted, raw bytes, or nothing."""
+    roll = rng.random()
+    if roll < 0.05:
+        return b""
+    if roll < 0.15:
+        return bytes(rng.randrange(256) for _ in range(rng.randint(1, 40)))
+    text = repr(gen_wf_system(rng))
+    if roll < 0.4:
+        return text.encode()
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(chars) + 1)
+        if rng.random() < 0.4 and chars:
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars.insert(i, rng.choice(_FUZZ_PIECES))
+    return "".join(chars).encode()
+
+
+def test_constraints_fuzz_exits_cleanly(tmp_path, capsys):
+    rng = random.Random(2024)
+    deep = "pair(" * 2000 + "a" + ", a)" * 2000
+    files = [f"public a\na |- {deep}\n".encode()]
+    files += [_fuzzed_constraint_file(rng) for _ in range(199)]
+    seen = set()
+    path = tmp_path / "fuzz.txt"
+    for i, data in enumerate(files):
+        path.write_bytes(data)
+        rc = cli.main(["constraints", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert rc in (0, 1, 2, 3), (data, rc)
+        assert "Traceback" not in out + err, data
+        if rc in (2, 3):
+            assert out == "" and err.startswith("error: "), (data, out, err)
+        else:
+            verdict = "satisfiable" if rc == 0 else "unsatisfiable"
+            assert out.split()[0] == verdict, (data, out)
+        if i == 0:
+            assert rc == 2 and "nested too deep" in err, err
+        seen.add(rc)
+    assert {0, 1, 2} <= seen
 
 
 def test_check_engine_proof(tmp_path, capsys):

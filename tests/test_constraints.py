@@ -1,16 +1,18 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import GroundOracle, gen_wf_system, ground_universe, instrumented_solve
-from intruder.constraints import (Constraint, ConstraintSystem, RIGHT, RULES,
-                                  Substitution, constraint_measure,
-                                  extract_solution, measure_less, mgu,
-                                  parse_constraint_file, parse_constraint_line,
-                                  proper, right, shared_names, solve, step,
-                                  successors, system, system_measure,
+from oracles import exhaustive_solve, step
+from test_acceptance import NAMES_DESK, desk_systems
+from intruder.constraints import (Constraint, RULES, Substitution,
+                                  constraint_measure, extract_solution,
+                                  measure_less, mgu, parse_constraint_file,
+                                  parse_constraint_line, proper, right,
+                                  shared_names, solve, system, system_measure,
                                   verify_solution, well_formed)
-from intruder.terms import eapp, enc, name, pair, var
+from intruder.terms import eapp, enc, name, pair, substitute, var, variables
 
 a, b, c, k, m = (name(n) for n in "abckm")
 x, y = var("x"), var("y")
@@ -174,14 +176,11 @@ def test_step_preserves_well_formedness_and_measure():
 
 
 def test_solver_soundness_random():
-    # exhaustive search enumerates commuting interleavings of reductions on
-    # unrelated constraints; first-unsolved avoids that blowup and agrees on
-    # satisfiability (checked separately on small systems)
     rng = random.Random(61)
     sat = 0
     for _ in range(120):
         s = gen_wf_system(rng)
-        sols = instrumented_solve(s, strategy="first-unsolved")
+        sols = instrumented_solve(s)
         if not sols:
             continue
         sat += 1
@@ -218,15 +217,73 @@ def test_reducibility_is_monotone_in_sigma():
         assert step(bigger), (s, bigger)
 
 
+def _instance(form, target, vs):
+    """A binding b with b(form.subst(v)) equal to target(v) for every v in vs,
+    or None. The targets must be ground, so mgu binds only the form's
+    variables; _frozen grounds a target that has variables."""
+    binding = Substitution()
+    for v in vs:
+        theta = mgu(binding(form.subst(v)), target(v))
+        if theta is None:
+            return None
+        binding = binding.compose(theta)
+    return binding
+
+
+def _frozen(subst, vs):
+    """subst on vs with every variable replaced by a name of its own."""
+    fix = {u: name("fixed_" + u.sym) for v in vs for u in variables(subst(v))}
+    return Substitution.of({v: substitute(subst(v), fix) for v in vs})
+
+
 def test_strategies_agree_on_satisfiability():
+    # the exhaustive oracle reduces every constraint in every order; reducing
+    # only the first unsolved one must lose none of its solved forms
     rng = random.Random(63)
     for _ in range(50):
         s = gen_wf_system(rng, max_constraints=2)
-        full = bool(solve(s, all_solutions=True))
-        first = bool(solve(s, strategy="first-unsolved", all_solutions=True))
-        assert full == first, s
-    with pytest.raises(ValueError):
-        list(successors(system(proper({a}, a)), strategy="nosuch"))
+        vs = sorted(s.variables(), key=lambda t: t.key)
+        forms = solve(s, all_solutions=True)
+        full = exhaustive_solve(s)
+        assert bool(forms) == bool(full), s
+        for sol in full:
+            frozen = _frozen(sol.subst, vs)
+            assert any(_instance(f, frozen, vs) is not None for f in forms), (s, sol)
+
+
+def _assert_ground_solutions_covered(systems, universe):
+    """Every ground solution of each system, over the universe, instantiates
+    a solved form from solve(all_solutions=True) and satisfies what is left
+    of that form. Returns the number of ground solutions checked."""
+    oracle = GroundOracle()
+    checked = 0
+    for s in systems:
+        vs = sorted(s.variables(), key=lambda t: t.key)
+        forms = solve(s, all_solutions=True)
+        for values in itertools.product(universe, repeat=len(vs)):
+            ground = Substitution.of(dict(zip(vs, values)))
+            if not oracle.holds(s, ground):
+                continue
+            checked += 1
+            for f in forms:
+                binding = _instance(f, ground, vs)
+                if binding is not None and oracle.holds(f.system, binding):
+                    break
+            else:
+                raise AssertionError(f"{ground!r} instantiates no solved form of\n{s!r}")
+    return checked
+
+
+def test_every_ground_solution_is_an_instance_of_a_solved_form():
+    checked = _assert_ground_solutions_covered(desk_systems(400),
+                                               ground_universe(NAMES_DESK))
+    assert checked > 0
+    rng = random.Random(7)
+    small = [s for s in (gen_wf_system(rng) for _ in range(400))
+             if len(s.variables()) <= 2]
+    checked = _assert_ground_solutions_covered(
+        small, ground_universe([name(n) for n in "abck"]))
+    assert len(small) > 250 and checked > 0
 
 
 def test_parse_constraint_line():
