@@ -22,7 +22,7 @@ from . import constraints as cstr
 from . import engine, proofs
 from .constraints import split_top
 from .rewriting import THEORY_BUILDERS, make_theories
-from .terms import EAPP, ParseError, Term, format_term, parse_term, subterms, variables
+from .terms import EAPP, ParseError, Term, format_term, parse_term, subterms
 
 
 class InputError(Exception):
@@ -72,7 +72,7 @@ def _theories_for(args, file_names: list[str]):
 
 def _require_ground(terms, what: str) -> None:
     for t in terms:
-        if variables(t):
+        if t.vars:
             raise InputError(f"{what} {t} contains variables")
 
 

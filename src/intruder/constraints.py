@@ -17,8 +17,8 @@ from typing import Iterable
 
 from . import engine
 from .rewriting import make_theories
-from .terms import (CAPP, NAME, VAR, Term, format_term, parse_term, size,
-                    substitute, variables)
+from .terms import (CAPP, NAME, VAR, Term, format_term, parse_term, substitute,
+                    variables)
 
 PROPER = "proper"
 RIGHT = "right"
@@ -57,9 +57,9 @@ class ConstraintSystem:
     def variables(self) -> frozenset[Term]:
         out: set[Term] = set()
         for c in self.constraints:
-            out |= variables(c.goal)
+            out |= c.goal.vars
             for t in c.sigma:
-                out |= variables(t)
+                out |= t.vars
         return frozenset(out)
 
     def replace(self, constraints: tuple[Constraint, ...]) -> ConstraintSystem:
@@ -140,7 +140,7 @@ def mgu(s: Term, t: Term) -> Substitution | None:
         if a.kind == VAR or b.kind == VAR:
             if b.kind == VAR and a.kind != VAR:
                 a, b = b, a
-            if a in variables(b):
+            if a in b.vars:
                 return None
             one = {a: b}
             binding = {v: substitute(u, one) for v, u in binding.items()}
@@ -218,9 +218,9 @@ def _originating(s: ConstraintSystem) -> bool:
     seen: set[Term] = set()
     for c in s.constraints:
         for t in c.sigma:
-            if not variables(t) <= seen:
+            if not t.vars <= seen:
                 return False
-        seen |= variables(c.goal)
+        seen |= c.goal.vars
     return True
 
 
@@ -247,8 +247,8 @@ def _recoverable(cs: tuple[Constraint, ...], i: int, j: int) -> bool:
     """
     vi: set[Term] = set()
     for t in cs[i].sigma:
-        vi |= variables(t)
-    usable = {t for t in cs[j].sigma if variables(t) <= vi}
+        vi |= t.vars
+    usable = {t for t in cs[j].sigma if t.vars <= vi}
     usable |= {cs[k].goal for k in range(i)}
     if not usable:
         return not cs[i].sigma
@@ -261,8 +261,8 @@ def _recoverable(cs: tuple[Constraint, ...], i: int, j: int) -> bool:
 
 def constraint_measure(c: Constraint) -> tuple[int, int]:
     if c.kind == RIGHT:
-        return (0, size(c.goal))
-    return (1, sum(size(t) for t in c.sigma))
+        return (0, c.goal.size)
+    return (1, sum(t.size for t in c.sigma))
 
 
 def system_measure(s: ConstraintSystem):
@@ -411,9 +411,10 @@ def solve(s: ConstraintSystem, all_solutions: bool = False,
     case distinct (solved system, substitution) pairs are collected; every
     solution of s is then an instance of one of them. Visited states are
     deduplicated, since different rule sequences can reach the same system.
-    More than max_nodes states raises RuntimeError. on_edge, if given, is
-    called with (parent, rule, substitution, child) for every reduction edge
-    explored.
+    The search is depth first on an explicit stack, so a long reduction path
+    does not hit the interpreter's recursion limit. More than max_nodes
+    states raises RuntimeError. on_edge, if given, is called with (parent,
+    rule, substitution, child) for every reduction edge explored.
     """
     problems = well_formed(s)
     if problems:
@@ -423,33 +424,36 @@ def solve(s: ConstraintSystem, all_solutions: bool = False,
 
     seen: set = set()
     found: list[Solution] = []
-    found_keys: set = set()
-    budget = [max_nodes]
+    # the depth-first path: (system, substitution, edges not yet explored)
+    path: list = []
 
-    def key_of(current: ConstraintSystem, theta: Substitution):
-        return (current.constraints, theta.restrict(orig_vars))
-
-    def dfs(current: ConstraintSystem, theta: Substitution) -> bool:
-        k = key_of(current, theta)
+    def visit(current: ConstraintSystem, theta: Substitution) -> bool:
+        """Enter a system; True once the search may stop."""
+        k = (current.constraints, theta.restrict(orig_vars))
         if k in seen:
             return False
         seen.add(k)
-        if budget[0] <= 0:
+        if len(seen) > max_nodes:
             raise RuntimeError(f"gave up after exploring {max_nodes} systems")
-        budget[0] -= 1
         if current.is_solved():
-            if k not in found_keys:
-                found_keys.add(k)
-                found.append(Solution(current, theta.restrict(orig_vars), pub))
+            found.append(Solution(current, k[1], pub))
             return not all_solutions
-        for rule, _i, _n, nxt, delta in successors(current):
-            if on_edge is not None:
-                on_edge(current, rule, delta, nxt)
-            if dfs(nxt, theta.compose(delta)):
-                return True
+        path.append((current, theta, successors(current)))
         return False
 
-    dfs(s, Substitution())
+    if visit(s, Substitution()):
+        return found
+    while path:
+        current, theta, edges = path[-1]
+        edge = next(edges, None)
+        if edge is None:
+            path.pop()
+            continue
+        rule, _i, _n, nxt, delta = edge
+        if on_edge is not None:
+            on_edge(current, rule, delta, nxt)
+        if visit(nxt, theta.compose(delta)):
+            break
     return found
 
 

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .terms import (
-    AC_SYMBOLS, CAPP, EAPP, NAME, VAR, Term, capp, eapp, substitute, var, variables,
+    AC_SYMBOLS, CAPP, EAPP, NAME, VAR, Term, capp, eapp, substitute, var,
 )
 
 
@@ -37,7 +37,7 @@ class RewriteRule:
     rhs: Term
 
     def __post_init__(self):
-        if not variables(self.rhs) <= variables(self.lhs):
+        if not self.rhs.vars <= self.lhs.vars:
             raise ValueError("rewrite rule introduces variables on the right")
 
 

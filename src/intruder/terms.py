@@ -5,7 +5,9 @@ pair, enc) or equational-symbol applications.  The two reserved AC symbols
 ``+`` and ``*`` are stored flattened with their argument multiset in a fixed
 total order, so structural identity coincides with equality modulo AC.
 Terms are hash-consed: building the same canonical term twice yields the
-same object, which makes term sets behave like shared-DAG node sets.
+same object, which makes term sets behave like shared-DAG node sets.  A
+node's variable set and size are computed once, from its children's, when
+the node is interned, and kept in its ``vars`` and ``size`` slots.
 """
 from __future__ import annotations
 
@@ -28,15 +30,20 @@ class Term:
     ``kind`` is one of NAME, VAR, CAPP, EAPP; ``sym`` the identifier or head
     symbol; ``args`` the (canonically ordered, flattened for AC) argument
     tuple.  ``key`` is a precomputed structural sort key giving the total
-    order used everywhere deterministic output matters.
+    order used everywhere deterministic output matters.  ``vars`` is the
+    frozenset of variables occurring in the term and ``size`` its number of
+    symbol, name and variable occurrences (see ``size``); both are filled
+    when the node is interned.
     """
 
-    __slots__ = ("kind", "sym", "args", "key")
+    __slots__ = ("kind", "sym", "args", "key", "vars", "size")
 
     kind: int
     sym: str
     args: tuple[Term, ...]
     key: tuple
+    vars: frozenset[Term]
+    size: int
 
     def __lt__(self, other: Term) -> bool:
         return self.key < other.key
@@ -50,6 +57,17 @@ class Term:
 
 _intern: dict[tuple, Term] = {}
 _intern_lock = threading.Lock()
+_NO_VARS: frozenset[Term] = frozenset()  # shared by every ground term
+
+
+def _vars_of(args: tuple[Term, ...]) -> frozenset[Term]:
+    """Union of the children's variable sets; a lone non-empty one is reused."""
+    sets = [a.vars for a in args if a.vars]
+    if not sets:
+        return _NO_VARS
+    if len(sets) == 1:
+        return sets[0]
+    return sets[0].union(*sets[1:])
 
 
 def _mk(kind: int, sym: str, args: tuple[Term, ...]) -> Term:
@@ -65,6 +83,10 @@ def _mk(kind: int, sym: str, args: tuple[Term, ...]) -> Term:
                 t.sym = sym
                 t.args = args
                 t.key = (kind, sym, len(args), tuple(a.key for a in args))
+                t.vars = frozenset((t,)) if kind == VAR else _vars_of(args)
+                # a flattened AC node stands for n-1 binary applications
+                own = len(args) - 1 if kind == EAPP and sym in AC_SYMBOLS else 1
+                t.size = own + sum(a.size for a in args)
                 _intern[ident] = t
     return t
 
@@ -144,24 +166,19 @@ def size(t: Term) -> int:
     A flattened AC node with n arguments counts as the n-1 binary
     applications it abbreviates, so size agrees with the unflattened tree.
     """
-    if not t.args:
-        return 1
-    own = len(t.args) - 1 if t.sym in AC_SYMBOLS and t.kind == EAPP else 1
-    return own + sum(size(a) for a in t.args)
+    return t.size
 
 
 def variables(t: Term) -> frozenset[Term]:
-    return frozenset(u for u in subterms(t) if u.kind == VAR)
+    return t.vars
 
 
 def substitute(t: Term, mapping: dict[Term, Term]) -> Term:
     """Apply a variable substitution, re-canonicalizing on the way up."""
-    if not mapping:
+    if not mapping or not t.vars:
         return t
     if t.kind == VAR:
         return mapping.get(t, t)
-    if not t.args:
-        return t
     args = tuple(substitute(a, mapping) for a in t.args)
     if args == t.args:
         return t

@@ -20,6 +20,10 @@ reductions is explored.  step lists all one-step reducts of a system and
 asserts that each child of a well-formed system is well formed, so every
 rule at every index stays checked; exhaustive_solve returns every solved
 form that search reaches.
+
+walked_variables and recursive_size are the term metadata that the
+``vars`` and ``size`` slots replaced: a fresh walk of the term on every
+call.
 """
 from __future__ import annotations
 
@@ -33,7 +37,8 @@ from intruder.engine import _apply_left, _linear_proof, _right, _rules_for
 from intruder.proofs import S_LEFT_RULES, Derivation, Sequent
 from intruder.rewriting import (Abstraction, Theory, as_theories, normalize,
                                 theory_vector, vector_term)
-from intruder.terms import CAPP, Term, capp, e_factors, eapp, sign, subterms
+from intruder.terms import (AC_SYMBOLS, CAPP, EAPP, VAR, Term, capp, e_factors,
+                            eapp, sign, subterms)
 
 
 def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
@@ -83,6 +88,22 @@ def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
                 return _linear_proof(steps, delta, goal, rp)
         if not grew:
             return None
+
+
+# --- term metadata by walking the term ------------------------------------------
+
+
+def walked_variables(t: Term) -> frozenset[Term]:
+    return frozenset(u for u in subterms(t) if u.kind == VAR)
+
+
+def recursive_size(t: Term) -> int:
+    """Symbol, name and variable occurrences; an AC node of n arguments
+    counts as n-1 binary applications."""
+    if not t.args:
+        return 1
+    own = len(t.args) - 1 if t.sym in AC_SYMBOLS and t.kind == EAPP else 1
+    return own + sum(recursive_size(a) for a in t.args)
 
 
 # --- the saturated subterm set ------------------------------------------------

@@ -161,6 +161,20 @@ def test_constraints_unsatisfiable(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["satisfiable"] is False
 
 
+def _balanced_pairs(depth):
+    if depth == 0:
+        return "a"
+    half = _balanced_pairs(depth - 1)
+    return f"pair({half}, {half})"
+
+
+def test_constraints_deep_balanced_goal(tmp_path, capsys):
+    # 2,047 nested reduction edges; a recursive search overflowed the stack at depth 9
+    path = write(tmp_path, f"public a\na |-R {_balanced_pairs(10)}\n")
+    assert cli.main(["constraints", "--input", path]) == 0
+    assert capsys.readouterr().out.startswith("satisfiable")
+
+
 def test_deep_goal_is_an_input_error():
     goal = "pair(" * 2000 + "a" + ", a)" * 2000
     out = subprocess.run([sys.executable, "-m", "intruder.cli", "deduce", "--knows", "a",

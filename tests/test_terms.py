@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from oracles import proper_subterms, saturate
-from intruder.rewriting import ag_theory, empty_theory, xor_theory
-from intruder.terms import (ParseError, blind, capp, e_factors, eapp, enc,
-                            format_term, is_e_alien, name, pair, parse_term,
-                            pub, sign, size, subterms, substitute, var,
-                            variables)
+from conftest import gen_ground, gen_sigma_term, gen_wf_system
+from oracles import proper_subterms, recursive_size, saturate, walked_variables
+from intruder.rewriting import (ag_theory, empty_theory, make_theories,
+                                xor_theory)
+from intruder.terms import (CAPP, EAPP, VAR, ParseError, blind, capp,
+                            e_factors, eapp, enc, format_term, is_e_alien,
+                            name, pair, parse_term, pub, sign, size, subterms,
+                            substitute, var, variables)
 
 a, b, c, d, k, m, r = (name(n) for n in "abcdkmr")
 XOR = xor_theory()
@@ -141,6 +143,47 @@ def test_size_counts_symbols_names_variables():
     assert size(pair(a, b)) == 3
     assert size(plus(a, b, c)) == 5  # two binary applications
     assert size(enc(pair(a, b), var("x"))) == 5
+
+
+def test_slots_agree_with_walking_oracles():
+    rng = random.Random(11)
+    names = [a, b, c, k]
+    xs = [var(v) for v in ("x", "y", "z")]
+    theories = make_theories(("xor", "ag"))  # +, 0 and *, 1, inv
+    generated = [gen_ground(rng, names + xs, theories, depth=4) for _ in range(600)]
+    generated += [gen_sigma_term(rng, names, depth=3, vars_ok=xs) for _ in range(300)]
+    for _ in range(100):
+        s = gen_wf_system(rng)
+        generated += [t for con in s.constraints for t in (con.goal, *con.sigma)]
+    seen = set()
+    for t in generated:
+        seen |= subterms(t)
+    for u in seen:
+        assert u.vars == walked_variables(u), u
+        assert u.size == recursive_size(u), u
+        assert variables(u) is u.vars and size(u) == u.size
+    heads = {u.sym for u in seen if u.kind == EAPP}
+    assert heads == {"+", "*", "inv", "0", "1"}
+    assert any(u.kind == EAPP and len(u.args) > 2 for u in seen)  # flattened AC
+    for sym in ("enc", "pair"):
+        assert any(u.kind == CAPP and u.sym == sym and any(w.kind == VAR for w in u.args)
+                   for u in seen)
+
+
+def test_slots_share_variable_sets():
+    x = var("x")
+    assert a.vars is pair(a, b).vars is eapp("0", ()).vars  # one empty set
+    assert x.vars == {x}
+    assert pair(x, a).vars is x.vars
+    assert enc(pair(x, a), var("y")).vars == {x, var("y")}
+
+
+def test_size_of_a_deep_chain_does_not_recurse():
+    t = var("x")
+    for _ in range(5000):
+        t = pair(t, a)
+    assert size(t) == 10_001
+    assert variables(t) == {var("x")}
 
 
 def test_is_e_alien():
