@@ -55,7 +55,10 @@ def main():
 
     banner("a corrupted proof is rejected")
     broken = json.loads(blob)
-    broken["goal"] = "a+b"
+    print("terms, contexts, nodes:",
+          ", ".join(str(len(broken[k])) for k in ("terms", "contexts", "nodes")))
+    # point the root node's goal at another term of the table
+    broken["nodes"][broken["root"]]["goal"] = broken["terms"].index("a+b")
     err = find_error(loads(json.dumps(broken)), theories)
     print("checker says:", err)
 

@@ -202,9 +202,11 @@ def cmd_translate(args) -> int:
         proof = proofs.loads(_read(args.proof))
     except ValueError as e:
         raise InputError(str(e)) from None
-    err = proofs.find_error(proof, theories)
-    if err is not None:
-        raise InputError(f"input proof is invalid: {err}")
+    if proof.system == "L":
+        # nd_to_seq and seq_to_nd check their own input; linear_to_seq does not
+        err = proofs.find_error(proof, theories)
+        if err is not None:
+            raise InputError(f"input proof is invalid: {err}")
     try:
         out = _translate(proof, args.direction, theories)
     except ValueError as e:

@@ -286,9 +286,12 @@ def measure_less(a, b) -> bool:
 RULES = ("C1", "C2", "C3", "C4", "C5")
 
 
-def _apply(s: ConstraintSystem, rule: str, index: int,
-           member: Term | None = None) -> tuple[ConstraintSystem, Substitution] | None:
+def _apply(s: ConstraintSystem, rule: str, index: int, member: Term | None,
+           measure, originating: bool) -> tuple[ConstraintSystem, Substitution] | None:
     """Apply one reduction rule at the given constraint, or None if it does not fire.
+
+    measure and originating are system_measure(s) and _originating(s): the
+    result must have a smaller measure, and keep variable origination.
 
     C1 closes a right constraint by unifying its non-variable goal with the
     cited knowledge term. C2 splits a constructor goal into right constraints
@@ -349,9 +352,9 @@ def _apply(s: ConstraintSystem, rule: str, index: int,
     if result is None:
         return None
     new_system, theta = result
-    assert measure_less(system_measure(new_system), system_measure(s)), \
+    assert measure_less(system_measure(new_system), measure), \
         f"{rule} did not decrease the measure"
-    if _originating(s):
+    if originating:
         assert _originating(new_system), f"{rule} broke variable origination"
     return result
 
@@ -373,19 +376,20 @@ def successors(s: ConstraintSystem):
 def _reductions_at(s: ConstraintSystem, i: int):
     """Every edge that reduces constraint i, in a fixed rule order."""
     members = sorted(s.constraints[i].sigma, key=lambda t: t.key)
+    parent = (system_measure(s), _originating(s))
     for n in members:
-        hit = _apply(s, "C1", i, n)
+        hit = _apply(s, "C1", i, n, *parent)
         if hit is not None:
             yield ("C1", i, n) + hit
-    hit = _apply(s, "C2", i)
+    hit = _apply(s, "C2", i, None, *parent)
     if hit is not None:
         yield ("C2", i, None) + hit
-    hit = _apply(s, "C3", i)
+    hit = _apply(s, "C3", i, None, *parent)
     if hit is not None:
         yield ("C3", i, None) + hit
     for n in members:
         for rule in ("C4", "C5"):
-            hit = _apply(s, rule, i, n)
+            hit = _apply(s, rule, i, n, *parent)
             if hit is not None:
                 yield (rule, i, n) + hit
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable
 
 from .elementary import ElemWitness, replay
@@ -58,6 +57,8 @@ L_RULES = {"r", "lp", "le", "sign", "blind1", "blind2", "ls"}
 
 _RIGHT_FOR = {"pair": "p_R", "enc": "e_R", "sign": "sign_R", "blind": "blind_R"}
 _INTRO_FOR = {"pair": "p_I", "enc": "e_I", "sign": "sign_I", "blind": "blind_I"}
+_RIGHT_SYM = {rule: sym for sym, rule in _RIGHT_FOR.items()}
+_INTRO_SYM = {rule: sym for sym, rule in _INTRO_FOR.items()}
 
 
 def check(d: Derivation, theories) -> bool:
@@ -66,145 +67,308 @@ def check(d: Derivation, theories) -> bool:
 
 
 def find_error(d: Derivation, theories) -> str | None:
-    """None for a valid derivation, else the path and reason of the first failure."""
-    theories = as_theories(theories)
-    try:
-        _check_node(d, theories, "root", _NormCache(theories))
-    except _CheckFailure as e:
-        return str(e)
-    return None
+    """None for a valid derivation, else the path and reason of the first failure.
+
+    The walk keeps its own stack and checks each distinct node (by identity)
+    once; a node that is its own ancestor is an error.  Only the root's Gamma
+    is checked for normal form in full.  Every rule checks that a premise's
+    Gamma is its conclusion's Gamma plus the terms the rule adds, so checking
+    just those added terms keeps every Gamma in normal form.
+    """
+    return _Checker(as_theories(theories), d).run()
 
 
 class _CheckFailure(Exception):
     pass
 
 
-class _NormCache:
-    def __init__(self, theories):
+def _fail(reason: str) -> None:
+    raise _CheckFailure(reason)
+
+
+_ACTIVE, _DONE = 1, 2
+
+
+class _Checker:
+    def __init__(self, theories, root: Derivation):
         self.theories = theories
-        self.seen: dict[Term, bool] = {}
+        self.root = root
+        self.normal_seen: dict[Term, bool] = {}
 
-    def is_normal(self, t: Term) -> bool:
-        r = self.seen.get(t)
-        if r is None:
-            r = normalize(t, self.theories) is t
-            self.seen[t] = r
-        return r
+    def run(self) -> str | None:
+        # a frame is (node, inside a right proof, parent frame, premise index
+        # or "right"); a pair (None, key) marks the end of key's subtree
+        frame = (self.root, False, None, None)
+        stack: list[tuple] = [frame]
+        state: dict[tuple[int, bool], int] = {}
+        try:
+            while stack:
+                item = stack.pop()
+                if item[0] is None:
+                    state[item[1]] = _DONE
+                    continue
+                frame = item
+                node, right = item[0], item[1]
+                key = (id(node), right)
+                seen = state.get(key)
+                if seen == _DONE:
+                    continue
+                if seen == _ACTIVE:
+                    _fail("the derivation is its own premise (a cycle)")
+                state[key] = _ACTIVE
+                stack.append((None, key))
+                if right:
+                    self.right_node(node)
+                    children = [(p, True, i) for i, p in enumerate(node.premises)]
+                else:
+                    children = self.node(node)
+                for child, r, label in reversed(children):
+                    stack.append((child, r, frame, label))
+        except _CheckFailure as e:
+            return f"{_path(frame)}: {e}"
+        return None
+
+    def node(self, d: Derivation) -> list[tuple]:
+        embedded = None
+        if d.system == "N":
+            _check_n(d, self.theories)
+        elif d.system == "S":
+            self.check_s(d)
+        elif d.system == "L":
+            embedded = self.check_l(d)
+        else:
+            _fail(f"unknown system {d.system!r}")
+        children = []
+        if embedded is not None:
+            children.append((embedded, True, "right"))
+        for i, p in enumerate(d.premises):
+            if p.system != d.system:
+                _fail(f"premise {i} switches system to {p.system!r}")
+            children.append((p, False, i))
+        return children
+
+    def right_node(self, d: Derivation) -> None:
+        """A node of a right proof: an S derivation from id and right rules only."""
+        if d.system != "S" or (d.rule != "id" and d.rule not in S_RIGHT_RULES):
+            _fail(f"a right proof uses only S id and right rules, found {d.system} {d.rule}")
+        self.check_s(d)
+
+    def normal(self, terms: Iterable[Term], what: str) -> None:
+        seen = self.normal_seen
+        for t in terms:
+            ok = seen.get(t)
+            if ok is None:
+                ok = seen[t] = normalize(t, self.theories) is t
+            if not ok:
+                _fail(f"{what} {t} is not in normal form")
+
+    def sequent_normal(self, d: Derivation) -> None:
+        """The goal, and at the root the whole of Gamma, are in normal form."""
+        if d is self.root:
+            self.normal(d.conclusion.gamma, "Gamma member")
+        self.normal((d.conclusion.goal,), "goal")
+
+    def adds(self, d: Derivation, i: int, added: tuple[Term, ...]) -> None:
+        """Premise i has d's sequent with the added terms in Gamma."""
+        c = d.conclusion
+        if d.premises[i].conclusion != Sequent(c.gamma.union(added), c.goal):
+            _fail(f"premise {i} of {d.rule} must add {', '.join(map(str, added))} to Gamma")
+        self.normal(added, "Gamma member")
+
+    def check_s(self, d: Derivation) -> None:
+        g, m = d.conclusion.gamma, d.conclusion.goal
+        rule = d.rule
+        if rule not in S_RULES:
+            _fail(f"unknown S rule {rule!r}")
+        self.sequent_normal(d)
+        if rule == "id":
+            _check_id_s(d, self.theories)
+        elif rule in S_RIGHT_RULES:
+            _arity(d, 2)
+            _same_gamma(d)
+            a, b = _shaped(m, _RIGHT_SYM[rule], "goal")
+            if d.premises[0].conclusion.goal is not a or d.premises[1].conclusion.goal is not b:
+                _fail(f"premise goals do not match the components of {m}")
+        elif rule == "cut":
+            _arity(d, 2)
+            left = d.premises[0].conclusion
+            if not _same(left.gamma, g):
+                _fail("cut left premise changes Gamma")
+            self.adds(d, 1, (left.goal,))
+        else:
+            # a left rule with a side term branches: its first premise
+            # derives that term from Gamma
+            side, added = _left_step(d, self.theories)
+            _arity(d, 1 if side is None else 2)
+            if side is not None and d.premises[0].conclusion != Sequent(g, side):
+                _fail(f"the first premise of {rule} must derive {side} from Gamma")
+            self.adds(d, len(d.premises) - 1, added)
+
+    def check_l(self, d: Derivation) -> Derivation | None:
+        """Check an L node; returns the right proof of its side condition, if any."""
+        g, m = d.conclusion.gamma, d.conclusion.goal
+        rule = d.rule
+        if rule not in L_RULES:
+            _fail(f"unknown L rule {rule!r}")
+        self.sequent_normal(d)
+        if rule == "r":
+            _arity(d, 0)
+            side = m
+        else:
+            _arity(d, 1)
+            if d.premises[0].conclusion.goal is not m:
+                _fail("left rules keep the goal")
+            side, added = _left_step(d, self.theories)
+            self.adds(d, 0, added)
+            if side is None:
+                return None
+        embedded = d.aux.get("right")
+        if not isinstance(embedded, Derivation):
+            _fail(f"side condition unproved: no right proof that {side} is right-deducible")
+        if embedded.conclusion != Sequent(g, side):
+            _fail("embedded right proof concludes the wrong sequent")
+        return embedded
 
 
-def _fail(path: str, reason: str) -> None:
-    raise _CheckFailure(f"{path}: {reason}")
+# the left rules of S and L by what they take apart
+_LEFT_KIND = {"p_L": "pair", "lp": "pair", "e_L": "enc", "le": "enc",
+              "sign_L": "sign", "sign": "sign", "blind_L1": "blind", "blind1": "blind",
+              "blind_L2": "unblind", "blind2": "unblind", "acut": "abstract", "ls": "abstract"}
 
 
-def _check_node(d: Derivation, theories, path: str, cache: _NormCache) -> None:
-    if d.system == "N":
-        _check_n(d, theories, path)
-    elif d.system == "S":
-        _check_s(d, theories, path, cache)
-    elif d.system == "L":
-        _check_l(d, theories, path, cache)
-    else:
-        _fail(path, f"unknown system {d.system!r}")
-    for i, p in enumerate(d.premises):
-        if p.system != d.system:
-            _fail(path, f"premise {i} switches system to {p.system!r}")
-        _check_node(p, theories, f"{path}.premises[{i}]", cache)
+def _left_step(d: Derivation, theories) -> tuple[Term | None, tuple[Term, ...]]:
+    """For a left rule of S or L: the side term it needs derived from Gamma
+    (None for the pair and sign rules) and the terms it adds to Gamma."""
+    g, m = d.conclusion.gamma, d.conclusion.goal
+    kind = _LEFT_KIND[d.rule]
+    if kind == "abstract":
+        a = d.aux.get("abstracted" if d.system == "S" else "principal")
+        if not isinstance(a, Term):
+            _fail(f"{d.rule} needs the abstracted term in aux")
+        if not _is_factor(a, g, m, theories):
+            _fail(f"{a} is not an alien factor of the sequent")
+        return a, (a,)
+    principal = _principal(d)
+    if kind == "pair":
+        return None, _shaped(principal, "pair", "principal")
+    if kind == "sign":
+        a, k = _shaped(principal, "sign", "principal")
+        if capp("pub", (k,)) not in g:
+            _fail(f"{d.rule} needs the matching public key in Gamma")
+        return None, (a,)
+    if kind == "unblind":
+        outer = _shaped(principal, "sign", "principal")
+        a, r = _shaped(outer[0], "blind", "signed payload")
+        return r, (sign(a, outer[1]), r)
+    a, side = _shaped(principal, kind, "principal")  # enc(a, key), blind(a, factor)
+    return side, (a, side)
 
 
-def _arity(d: Derivation, n: int, path: str) -> None:
+def _path(frame: tuple) -> str:
+    labels = []
+    while frame[2] is not None:
+        label = frame[3]
+        labels.append(".right" if label == "right" else f".premises[{label}]")
+        frame = frame[2]
+    return "root" + "".join(reversed(labels))
+
+
+def _same(a: frozenset[Term], b: frozenset[Term]) -> bool:
+    # frozenset equality walks both sets even when they are one object
+    return a is b or a == b
+
+
+def _arity(d: Derivation, n: int) -> None:
     if len(d.premises) != n:
-        _fail(path, f"rule {d.rule} expects {n} premises, got {len(d.premises)}")
+        _fail(f"rule {d.rule} expects {n} premises, got {len(d.premises)}")
 
 
-def _same_gamma(d: Derivation, path: str) -> None:
+def _same_gamma(d: Derivation) -> None:
+    g = d.conclusion.gamma
     for i, p in enumerate(d.premises):
-        if p.conclusion.gamma != d.conclusion.gamma:
-            _fail(path, f"premise {i} changes Gamma under rule {d.rule}")
+        if not _same(p.conclusion.gamma, g):
+            _fail(f"premise {i} changes Gamma under rule {d.rule}")
 
 
-def _principal(d: Derivation, path: str) -> Term:
+def _principal(d: Derivation) -> Term:
     t = d.aux.get("principal")
     if not isinstance(t, Term):
-        _fail(path, f"rule {d.rule} needs a principal term in aux")
+        _fail(f"rule {d.rule} needs a principal term in aux")
     if t not in d.conclusion.gamma:
-        _fail(path, f"principal {t} is not in Gamma")
+        _fail(f"principal {t} is not in Gamma")
     return t
 
 
-def _shaped(t: Term, sym: str, path: str, what: str) -> tuple[Term, ...]:
+def _shaped(t: Term, sym: str, what: str) -> tuple[Term, ...]:
     if t.kind != CAPP or t.sym != sym:
-        _fail(path, f"{what} must be a {sym} term, found {t}")
+        _fail(f"{what} must be a {sym} term, found {t}")
     return t.args
 
 
-def _check_n(d: Derivation, theories, path: str) -> None:
+def _check_n(d: Derivation, theories) -> None:
     g, m = d.conclusion.gamma, d.conclusion.goal
     rule = d.rule
     if rule not in N_RULES:
-        _fail(path, f"unknown N rule {rule!r}")
+        _fail(f"unknown N rule {rule!r}")
     if rule != "id":
-        _same_gamma(d, path)
+        _same_gamma(d)
     if rule == "id":
-        _arity(d, 0, path)
+        _arity(d, 0)
         if m not in g:
-            _fail(path, f"id goal {m} is not in Gamma")
+            _fail(f"id goal {m} is not in Gamma")
     elif rule in ("p_I", "e_I", "sign_I", "blind_I"):
-        _arity(d, 2, path)
-        sym = {"p_I": "pair", "e_I": "enc", "sign_I": "sign", "blind_I": "blind"}[rule]
-        a, b = _shaped(m, sym, path, "goal")
+        _arity(d, 2)
+        a, b = _shaped(m, _INTRO_SYM[rule], "goal")
         if d.premises[0].conclusion.goal is not a or d.premises[1].conclusion.goal is not b:
-            _fail(path, f"premise goals do not match the components of {m}")
+            _fail(f"premise goals do not match the components of {m}")
     elif rule == "p_E":
-        _arity(d, 1, path)
-        a, b = _shaped(d.premises[0].conclusion.goal, "pair", path, "premise goal")
+        _arity(d, 1)
+        a, b = _shaped(d.premises[0].conclusion.goal, "pair", "premise goal")
         if m is not a and m is not b:
-            _fail(path, f"goal {m} is not a component of the premise pair")
+            _fail(f"goal {m} is not a component of the premise pair")
     elif rule == "e_E":
-        _arity(d, 2, path)
-        a, k = _shaped(d.premises[0].conclusion.goal, "enc", path, "first premise goal")
+        _arity(d, 2)
+        a, k = _shaped(d.premises[0].conclusion.goal, "enc", "first premise goal")
         if m is not a or d.premises[1].conclusion.goal is not k:
-            _fail(path, "enc elimination premises do not fit the goal")
+            _fail("enc elimination premises do not fit the goal")
     elif rule == "sign_E":
-        _arity(d, 2, path)
-        a, k = _shaped(d.premises[0].conclusion.goal, "sign", path, "first premise goal")
+        _arity(d, 2)
+        a, k = _shaped(d.premises[0].conclusion.goal, "sign", "first premise goal")
         want = capp("pub", (k,))
         if m is not a or d.premises[1].conclusion.goal is not want:
-            _fail(path, "sign elimination needs the matching public key premise")
+            _fail("sign elimination needs the matching public key premise")
     elif rule == "blind_E1":
-        _arity(d, 2, path)
-        a, r = _shaped(d.premises[0].conclusion.goal, "blind", path, "first premise goal")
+        _arity(d, 2)
+        a, r = _shaped(d.premises[0].conclusion.goal, "blind", "first premise goal")
         if m is not a or d.premises[1].conclusion.goal is not r:
-            _fail(path, "blind elimination premises do not fit the goal")
+            _fail("blind elimination premises do not fit the goal")
     elif rule == "blind_E2":
-        _arity(d, 2, path)
-        a, k = _shaped(m, "sign", path, "goal")
+        _arity(d, 2)
+        a, k = _shaped(m, "sign", "goal")
         p1 = d.premises[0].conclusion.goal
-        ba, bk = _shaped(p1, "sign", path, "first premise goal")
-        br_args = _shaped(ba, "blind", path, "first premise payload")
+        ba, bk = _shaped(p1, "sign", "first premise goal")
+        br_args = _shaped(ba, "blind", "first premise payload")
         if bk is not k or br_args[0] is not a or d.premises[1].conclusion.goal is not br_args[1]:
-            _fail(path, "unblinding premises do not fit the goal")
+            _fail("unblinding premises do not fit the goal")
     elif rule == "f_I":
         if not d.premises:
-            _fail(path, "f_I needs at least one premise (contexts are non-empty)")
+            _fail("f_I needs at least one premise (contexts are non-empty)")
         th = _owner_theory(m, theories)
         if th is None:
-            _fail(path, f"f_I goal {m} is not headed by an equational symbol")
+            _fail(f"f_I goal {m} is not headed by an equational symbol")
         goals = tuple(p.conclusion.goal for p in d.premises)
         if m.sym == th.ac_symbol:
             if len(goals) < 2:
-                _fail(path, "an AC f_I needs at least two premises")
-            if eapp(m.sym, goals) is not m:
-                _fail(path, f"premise goals do not combine to {m}")
-        else:
-            if len(goals) != th.symbols[m.sym]:
-                _fail(path, f"{m.sym} expects {th.symbols[m.sym]} premises")
-            if eapp(m.sym, goals) is not m:
-                _fail(path, f"premise goals do not combine to {m}")
+                _fail("an AC f_I needs at least two premises")
+        elif len(goals) != th.symbols[m.sym]:
+            _fail(f"{m.sym} expects {th.symbols[m.sym]} premises")
+        if eapp(m.sym, goals) is not m:
+            _fail(f"premise goals do not combine to {m}")
     elif rule == "approx":
-        _arity(d, 1, path)
+        _arity(d, 1)
         n = d.premises[0].conclusion.goal
         if normalize(n, theories) is not normalize(m, theories):
-            _fail(path, f"{n} and {m} are not equal modulo the theory")
+            _fail(f"{n} and {m} are not equal modulo the theory")
 
 
 def _owner_theory(t: Term, theories) -> Theory | None:
@@ -216,165 +380,22 @@ def _owner_theory(t: Term, theories) -> Theory | None:
     return None
 
 
-def _check_sequent_normal(d: Derivation, theories, path: str, cache: _NormCache) -> None:
-    for t in d.conclusion.gamma:
-        if not cache.is_normal(t):
-            _fail(path, f"Gamma member {t} is not in normal form")
-    if not cache.is_normal(d.conclusion.goal):
-        _fail(path, f"goal {d.conclusion.goal} is not in normal form")
-
-
-def _check_id_s(d: Derivation, theories, path: str) -> None:
-    _arity(d, 0, path)
+def _check_id_s(d: Derivation, theories) -> None:
+    _arity(d, 0)
     w = d.aux.get("witness")
     if not isinstance(w, ElemWitness):
-        _fail(path, "id needs an elementary witness in aux")
+        _fail("id needs an elementary witness in aux")
     try:
         value = replay(w, d.conclusion.gamma, theories)
     except ValueError as e:
-        _fail(path, f"witness does not replay: {e}")
+        _fail(f"witness does not replay: {e}")
     if value is not d.conclusion.goal:
-        _fail(path, f"witness replays to {value}, not the goal")
+        _fail(f"witness replays to {value}, not the goal")
 
 
-def _check_s(d: Derivation, theories, path: str, cache: _NormCache) -> None:
-    g, m = d.conclusion.gamma, d.conclusion.goal
-    rule = d.rule
-    if rule not in S_RULES:
-        _fail(path, f"unknown S rule {rule!r}")
-    _check_sequent_normal(d, theories, path, cache)
-    if rule == "id":
-        _check_id_s(d, theories, path)
-    elif rule == "cut":
-        _arity(d, 2, path)
-        a = d.premises[0].conclusion.goal
-        if d.premises[0].conclusion.gamma != g:
-            _fail(path, "cut left premise changes Gamma")
-        if d.premises[1].conclusion != Sequent(g | {a}, m):
-            _fail(path, "cut right premise must add the cut term to Gamma")
-    elif rule in S_RIGHT_RULES:
-        _arity(d, 2, path)
-        _same_gamma(d, path)
-        sym = {"p_R": "pair", "e_R": "enc", "sign_R": "sign", "blind_R": "blind"}[rule]
-        a, b = _shaped(m, sym, path, "goal")
-        if d.premises[0].conclusion.goal is not a or d.premises[1].conclusion.goal is not b:
-            _fail(path, f"premise goals do not match the components of {m}")
-    elif rule == "p_L":
-        _arity(d, 1, path)
-        a, b = _shaped(_principal(d, path), "pair", path, "principal")
-        if d.premises[0].conclusion != Sequent(g | {a, b}, m):
-            _fail(path, "pair-left premise must add both components")
-    elif rule == "e_L":
-        _arity(d, 2, path)
-        a, k = _shaped(_principal(d, path), "enc", path, "principal")
-        if d.premises[0].conclusion != Sequent(g, k):
-            _fail(path, "enc-left first premise must derive the key")
-        if d.premises[1].conclusion != Sequent(g | {a, k}, m):
-            _fail(path, "enc-left second premise must add payload and key")
-    elif rule == "sign_L":
-        _arity(d, 1, path)
-        a, k = _shaped(_principal(d, path), "sign", path, "principal")
-        if capp("pub", (k,)) not in g:
-            _fail(path, "sign-left needs the matching public key in Gamma")
-        if d.premises[0].conclusion != Sequent(g | {a}, m):
-            _fail(path, "sign-left premise must add the signed payload")
-    elif rule == "blind_L1":
-        _arity(d, 2, path)
-        a, r = _shaped(_principal(d, path), "blind", path, "principal")
-        if d.premises[0].conclusion != Sequent(g, r):
-            _fail(path, "blind-left first premise must derive the blinding factor")
-        if d.premises[1].conclusion != Sequent(g | {a, r}, m):
-            _fail(path, "blind-left second premise must add payload and factor")
-    elif rule == "blind_L2":
-        _arity(d, 2, path)
-        outer = _shaped(_principal(d, path), "sign", path, "principal")
-        a, r = _shaped(outer[0], "blind", path, "signed payload")
-        unblinded = sign(a, outer[1])
-        if d.premises[0].conclusion != Sequent(g, r):
-            _fail(path, "unblinding first premise must derive the blinding factor")
-        if d.premises[1].conclusion != Sequent(g | {unblinded, r}, m):
-            _fail(path, "unblinding second premise must add the unblinded signature")
-    elif rule == "acut":
-        _arity(d, 2, path)
-        a = d.aux.get("abstracted")
-        if not isinstance(a, Term):
-            _fail(path, "acut needs the abstracted term in aux")
-        if not _is_factor(a, g | {m}, theories):
-            _fail(path, f"{a} is not an alien factor of the sequent")
-        if d.premises[0].conclusion != Sequent(g, a):
-            _fail(path, "acut left premise must derive the abstracted term")
-        if d.premises[1].conclusion != Sequent(g | {a}, m):
-            _fail(path, "acut right premise must add the abstracted term")
-
-
-def _is_factor(a: Term, over: frozenset[Term], theories) -> bool:
-    return any(a in e_factors(t, th) for t in over for th in theories)
-
-
-def _check_l(d: Derivation, theories, path: str, cache: _NormCache) -> None:
-    g, m = d.conclusion.gamma, d.conclusion.goal
-    rule = d.rule
-    if rule not in L_RULES:
-        _fail(path, f"unknown L rule {rule!r}")
-    _check_sequent_normal(d, theories, path, cache)
-
-    def side(goal: Term, what: str) -> None:
-        embedded = d.aux.get("right")
-        if not isinstance(embedded, Derivation):
-            _fail(path, f"side condition unproved: no right proof that {what} {goal} "
-                        "is right-deducible")
-        if embedded.conclusion != Sequent(g, goal):
-            _fail(path, "embedded right proof concludes the wrong sequent")
-        _check_right(embedded, theories, f"{path}.right", cache)
-
-    if rule == "r":
-        _arity(d, 0, path)
-        side(m, "goal")
-        return
-    _arity(d, 1, path)
-    prem = d.premises[0].conclusion
-    if prem.goal is not m:
-        _fail(path, "left rules keep the goal")
-    if rule == "lp":
-        a, b = _shaped(_principal(d, path), "pair", path, "principal")
-        want = g | {a, b}
-    elif rule == "le":
-        a, k = _shaped(_principal(d, path), "enc", path, "principal")
-        side(k, "key")
-        want = g | {a, k}
-    elif rule == "sign":
-        a, k = _shaped(_principal(d, path), "sign", path, "principal")
-        if capp("pub", (k,)) not in g:
-            _fail(path, "sign needs the matching public key in Gamma")
-        want = g | {a}
-    elif rule == "blind1":
-        a, r = _shaped(_principal(d, path), "blind", path, "principal")
-        side(r, "blinding factor")
-        want = g | {a, r}
-    elif rule == "blind2":
-        outer = _shaped(_principal(d, path), "sign", path, "principal")
-        a, r = _shaped(outer[0], "blind", path, "signed payload")
-        side(r, "blinding factor")
-        want = g | {sign(a, outer[1]), r}
-    else:  # ls
-        a = d.aux.get("principal")
-        if not isinstance(a, Term):
-            _fail(path, "ls needs the abstracted term in aux")
-        if not _is_factor(a, g | {m}, theories):
-            _fail(path, f"{a} is not an alien factor of the sequent")
-        side(a, "abstracted term")
-        want = g | {a}
-    if prem.gamma != want:
-        _fail(path, f"premise Gamma of {rule} is wrong")
-
-
-def _check_right(d: Derivation, theories, path: str, cache: _NormCache) -> None:
-    """A right proof: an S derivation that uses only id and right rules."""
-    if d.system != "S" or (d.rule != "id" and d.rule not in S_RIGHT_RULES):
-        _fail(path, f"a right proof uses only S id and right rules, found {d.system} {d.rule}")
-    _check_s(d, theories, path, cache)
-    for i, p in enumerate(d.premises):
-        _check_right(p, theories, f"{path}.premises[{i}]", cache)
+def _is_factor(a: Term, g: frozenset[Term], m: Term, theories) -> bool:
+    """Whether a is an alien factor of the goal m or of a member of g."""
+    return any(a in e_factors(t, th) for th in theories for t in (m, *g))
 
 
 # --- normal form --------------------------------------------------------------
@@ -415,19 +436,44 @@ def weaken(d: Derivation, extra: Iterable[Term]) -> Derivation:
     extra = frozenset(extra)
     if not extra:
         return d
-    return _weaken(d, extra)
+    return _weaken(d, extra, {})
 
 
-def _weaken(d: Derivation, extra: frozenset[Term]) -> Derivation:
-    aux = dict(d.aux)
-    emb = aux.get("right")
-    if isinstance(emb, Derivation):
-        aux["right"] = _weaken(emb, extra)
-    return Derivation(d.system, d.rule, d.conclusion.with_extra(extra),
-                      tuple(_weaken(p, extra) for p in d.premises), aux)
+def _weaken(d: Derivation, extra: frozenset[Term], memo: dict[int, Derivation]) -> Derivation:
+    # memo maps each node weakened so far (by identity) to its result, so a
+    # proof that shares subtrees costs its nodes, not its paths
+    out = memo.get(id(d))
+    if out is None:
+        aux = dict(d.aux)
+        emb = aux.get("right")
+        if isinstance(emb, Derivation):
+            aux["right"] = _weaken(emb, extra, memo)
+        out = memo[id(d)] = Derivation(
+            d.system, d.rule, d.conclusion.with_extra(extra),
+            tuple([_weaken(p, extra, memo) for p in d.premises]), aux)
+    return out
 
 
 # --- translations --------------------------------------------------------------
+
+
+def _shared(d: Derivation) -> dict[int, None]:
+    """A memo with an empty slot for each node below d that is the premise
+    of more than one node, or twice of one: a translation fills the slot
+    with the node's result the first time, so a proof that shares subtrees
+    costs its nodes, not its paths, and an unshared node's result is not
+    kept once its parent has used it."""
+    seen: set[int] = set()
+    memo: dict[int, None] = {}
+    stack = [d]
+    while stack:
+        for p in stack.pop().premises:
+            if id(p) in seen:
+                memo[id(p)] = None
+            else:
+                seen.add(id(p))
+                stack.append(p)
+    return memo
 
 
 def linear_to_seq(d: Derivation, theories) -> Derivation:
@@ -477,8 +523,8 @@ def nd_to_seq(d: Derivation, theories) -> Derivation:
     theories = as_theories(theories)
     err = find_error(d, theories)
     if err is not None:
-        raise ValueError(f"input derivation does not check: {err}")
-    return _n2s(d, theories)
+        raise ValueError(f"input proof is invalid: {err}")
+    return _n2s(d, theories, _shared(d))
 
 
 def _norm_sequent(s: Sequent, theories) -> Sequent:
@@ -500,22 +546,32 @@ def _cut(left: Derivation, right: Derivation) -> Derivation:
     return Derivation("S", "cut", Sequent(g, right.conclusion.goal), (left, right))
 
 
-def _n2s(d: Derivation, theories) -> Derivation:
+def _n2s(d: Derivation, theories, memo: dict) -> Derivation:
+    """The S translation of d, made once if d is shared (see _shared)."""
+    out = memo.get(id(d))
+    if out is None:
+        out = _n2s_node(d, theories, memo)
+        if id(d) in memo:
+            memo[id(d)] = out
+    return out
+
+
+def _n2s_node(d: Derivation, theories, memo: dict) -> Derivation:
     conc = _norm_sequent(d.conclusion, theories)
     g, m = conc.gamma, conc.goal
     rule = d.rule
     if rule == "id":
         return _id_node(g, m, theories)
     if rule == "approx":
-        return _n2s(d.premises[0], theories)
+        return _n2s(d.premises[0], theories, memo)
     if rule in ("p_I", "e_I", "sign_I", "blind_I"):
-        left = _n2s(d.premises[0], theories)
-        right = _n2s(d.premises[1], theories)
+        left = _n2s(d.premises[0], theories, memo)
+        right = _n2s(d.premises[1], theories, memo)
         return Derivation("S", _RIGHT_FOR[m.sym], conc, (left, right))
     if rule == "f_I":
-        return _n2s_fi(d, conc, theories)
+        return _n2s_fi(d, conc, theories, memo)
     if rule == "p_E":
-        big = _n2s(d.premises[0], theories)
+        big = _n2s(d.premises[0], theories, memo)
         principal = big.conclusion.goal
         a, b = principal.args
         inner = Derivation("S", "p_L", Sequent(g | {principal}, m),
@@ -523,8 +579,8 @@ def _n2s(d: Derivation, theories) -> Derivation:
                            {"principal": principal})
         return _cut(big, inner)
     if rule == "e_E":
-        big = _n2s(d.premises[0], theories)
-        key = _n2s(d.premises[1], theories)
+        big = _n2s(d.premises[0], theories, memo)
+        key = _n2s(d.premises[1], theories, memo)
         principal = big.conclusion.goal
         a, k = principal.args
         g1 = g | {principal}
@@ -534,8 +590,8 @@ def _n2s(d: Derivation, theories) -> Derivation:
                            {"principal": principal})
         return _cut(big, inner)
     if rule == "sign_E":
-        big = _n2s(d.premises[0], theories)
-        pubkey = _n2s(d.premises[1], theories)
+        big = _n2s(d.premises[0], theories, memo)
+        pubkey = _n2s(d.premises[1], theories, memo)
         principal = big.conclusion.goal
         g1 = g | {principal}
         g2 = g1 | {pubkey.conclusion.goal}
@@ -545,8 +601,8 @@ def _n2s(d: Derivation, theories) -> Derivation:
         step = _cut(weaken(pubkey, {principal}), inner)
         return _cut(big, step)
     if rule == "blind_E1":
-        big = _n2s(d.premises[0], theories)
-        factor = _n2s(d.premises[1], theories)
+        big = _n2s(d.premises[0], theories, memo)
+        factor = _n2s(d.premises[1], theories, memo)
         principal = big.conclusion.goal
         a, r = principal.args
         g1 = g | {principal}
@@ -556,8 +612,8 @@ def _n2s(d: Derivation, theories) -> Derivation:
                            {"principal": principal})
         return _cut(big, inner)
     if rule == "blind_E2":
-        big = _n2s(d.premises[0], theories)
-        factor = _n2s(d.premises[1], theories)
+        big = _n2s(d.premises[0], theories, memo)
+        factor = _n2s(d.premises[1], theories, memo)
         principal = big.conclusion.goal
         r = factor.conclusion.goal
         g1 = g | {principal}
@@ -569,9 +625,9 @@ def _n2s(d: Derivation, theories) -> Derivation:
     raise ValueError(f"unknown N rule {rule!r}")
 
 
-def _n2s_fi(d: Derivation, conc: Sequent, theories) -> Derivation:
+def _n2s_fi(d: Derivation, conc: Sequent, theories, memo: dict) -> Derivation:
     g, m = conc.gamma, conc.goal
-    subs = [_n2s(p, theories) for p in d.premises]
+    subs = [_n2s(p, theories, memo) for p in d.premises]
     goals = [s.conclusion.goal for s in subs]
     th = _owner_theory(d.conclusion.goal, theories)
     witness = _fold_witness(th, d.conclusion.goal.sym, goals)
@@ -610,79 +666,96 @@ def seq_to_nd(d: Derivation, theories) -> Derivation:
     theories = as_theories(theories)
     err = find_error(d, theories)
     if err is not None:
-        raise ValueError(f"input derivation does not check: {err}")
-    return _s2n(d, theories)
+        raise ValueError(f"input proof is invalid: {err}")
+    return _s2n(d, theories, _shared(d))
 
 
 def _nd_id(g: frozenset[Term], goal: Term) -> Derivation:
     return Derivation("N", "id", Sequent(g, goal))
 
 
-def _regraft(d: Derivation, g: frozenset[Term], grafts: dict[Term, Derivation]) -> Derivation:
-    """Rebuild an N derivation over a smaller Gamma, replacing broken id leaves."""
-    if d.rule == "id":
-        if d.conclusion.goal in g:
-            return _nd_id(g, d.conclusion.goal)
-        replacement = grafts.get(d.conclusion.goal)
-        if replacement is None:
-            raise ValueError(f"no graft for id leaf {d.conclusion.goal}")
-        return replacement
-    return Derivation("N", d.rule, Sequent(g, d.conclusion.goal),
-                      tuple(_regraft(p, g, grafts) for p in d.premises), dict(d.aux))
+def _regraft(d: Derivation, g: frozenset[Term], grafts: dict[Term, Derivation],
+             memo: dict[int, Derivation]) -> Derivation:
+    """Rebuild an N derivation over a smaller Gamma, replacing broken id
+    leaves; memo as in _weaken."""
+    out = memo.get(id(d))
+    if out is not None:
+        return out
+    goal = d.conclusion.goal
+    if d.rule != "id":
+        out = Derivation("N", d.rule, Sequent(g, goal),
+                         tuple([_regraft(p, g, grafts, memo) for p in d.premises]), dict(d.aux))
+    elif goal in g:
+        out = _nd_id(g, goal)
+    else:
+        out = grafts.get(goal)
+        if out is None:
+            raise ValueError(f"no graft for id leaf {goal}")
+    memo[id(d)] = out
+    return out
 
 
-def _s2n(d: Derivation, theories) -> Derivation:
+def _s2n(d: Derivation, theories, memo: dict) -> Derivation:
+    """The N translation of d, made once if d is shared (see _shared)."""
+    out = memo.get(id(d))
+    if out is None:
+        out = _s2n_node(d, theories, memo)
+        if id(d) in memo:
+            memo[id(d)] = out
+    return out
+
+
+def _s2n_node(d: Derivation, theories, memo: dict) -> Derivation:
     g, m = d.conclusion.gamma, d.conclusion.goal
     rule = d.rule
     if rule == "id":
         return _witness_tree(d.aux["witness"], g, m, theories)
     if rule in S_RIGHT_RULES:
-        sym = {"p_R": "pair", "e_R": "enc", "sign_R": "sign", "blind_R": "blind"}[rule]
-        return Derivation("N", _INTRO_FOR[sym], Sequent(g, m),
-                          (_s2n(d.premises[0], theories), _s2n(d.premises[1], theories)))
+        return Derivation("N", _INTRO_FOR[_RIGHT_SYM[rule]], Sequent(g, m),
+                          tuple([_s2n(p, theories, memo) for p in d.premises]))
     if rule in ("cut", "acut"):
         a = d.premises[0].conclusion.goal
-        left = _s2n(d.premises[0], theories)
-        right = _s2n(d.premises[1], theories)
-        return _regraft(right, g, {a: left})
+        left = _s2n(d.premises[0], theories, memo)
+        right = _s2n(d.premises[1], theories, memo)
+        return _regraft(right, g, {a: left}, {})
     if rule == "p_L":
         principal = d.aux["principal"]
         a, b = principal.args
-        body = _s2n(d.premises[0], theories)
+        body = _s2n(d.premises[0], theories, memo)
         graft_a = Derivation("N", "p_E", Sequent(g, a), (_nd_id(g, principal),))
         graft_b = Derivation("N", "p_E", Sequent(g, b), (_nd_id(g, principal),))
-        return _regraft(body, g, {a: graft_a, b: graft_b})
+        return _regraft(body, g, {a: graft_a, b: graft_b}, {})
     if rule == "e_L":
         principal = d.aux["principal"]
         a, k = principal.args
-        key = _s2n(d.premises[0], theories)
-        body = _s2n(d.premises[1], theories)
+        key = _s2n(d.premises[0], theories, memo)
+        body = _s2n(d.premises[1], theories, memo)
         payload = Derivation("N", "e_E", Sequent(g, a), (_nd_id(g, principal), key))
-        return _regraft(body, g, {a: payload, k: key})
+        return _regraft(body, g, {a: payload, k: key}, {})
     if rule == "sign_L":
         principal = d.aux["principal"]
         a, k = principal.args
-        body = _s2n(d.premises[0], theories)
+        body = _s2n(d.premises[0], theories, memo)
         payload = Derivation("N", "sign_E", Sequent(g, a),
                              (_nd_id(g, principal), _nd_id(g, capp("pub", (k,)))))
-        return _regraft(body, g, {a: payload})
+        return _regraft(body, g, {a: payload}, {})
     if rule == "blind_L1":
         principal = d.aux["principal"]
         a, r = principal.args
-        factor = _s2n(d.premises[0], theories)
-        body = _s2n(d.premises[1], theories)
+        factor = _s2n(d.premises[0], theories, memo)
+        body = _s2n(d.premises[1], theories, memo)
         payload = Derivation("N", "blind_E1", Sequent(g, a), (_nd_id(g, principal), factor))
-        return _regraft(body, g, {a: payload, r: factor})
+        return _regraft(body, g, {a: payload, r: factor}, {})
     if rule == "blind_L2":
         principal = d.aux["principal"]
         blinded, k = principal.args
         a, r = blinded.args
         unblinded = sign(a, k)
-        factor = _s2n(d.premises[0], theories)
-        body = _s2n(d.premises[1], theories)
+        factor = _s2n(d.premises[0], theories, memo)
+        body = _s2n(d.premises[1], theories, memo)
         payload = Derivation("N", "blind_E2", Sequent(g, unblinded),
                              (_nd_id(g, principal), factor))
-        return _regraft(body, g, {unblinded: payload, r: factor})
+        return _regraft(body, g, {unblinded: payload, r: factor}, {})
     raise ValueError(f"unknown S rule {rule!r}")
 
 
@@ -716,23 +789,36 @@ def _witness_tree(w: ElemWitness, g: frozenset[Term], goal: Term, theories) -> D
 
 # --- serialization --------------------------------------------------------------
 
+FORMAT_VERSION = 2
+
 
 def to_json(d: Derivation) -> dict:
-    """The proof as a JSON-ready object (see README for its shape)."""
-    return _Writer().node(d)
+    """The proof as a JSON-ready object in the flat layout (see README)."""
+    w = _Writer()
+    root = w.walk(d)
+    return {"system": d.system, "version": FORMAT_VERSION, "terms": w.terms,
+            "contexts": w.contexts, "nodes": w.nodes, "root": root}
 
 
-def from_json(obj: dict) -> Derivation:
+def from_json(obj) -> Derivation:
     """Read a proof object; raises ValueError if it is malformed."""
-    return _Reader().node(obj)
+    return _Reader().proof(obj)
+
+
+_encode = json.JSONEncoder().encode
 
 
 def dumps(d: Derivation) -> str:
-    """The proof as indented JSON: the text ``json.dumps(to_json(d), indent=2)``
-    gives, written without json's pure-Python encoder."""
-    out: list[str] = []
-    _indented(to_json(d), "\n", out)
-    return "".join(out)
+    """The proof as JSON: each top-level field, and each entry of the term,
+    context and node tables, on a line of its own."""
+    fields = []
+    for key, v in to_json(d).items():
+        if isinstance(v, list) and v:
+            v = "[\n    " + ",\n    ".join(map(_encode, v)) + "\n  ]"
+        else:
+            v = _encode(v)
+        fields.append(f'  "{key}": {v}')
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def loads(text: str) -> Derivation:
@@ -742,29 +828,71 @@ def loads(text: str) -> Derivation:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed proof JSON: {e}") from None
+    except RecursionError:
+        raise ValueError("malformed proof JSON: nested too deep") from None
     return from_json(obj)
 
 
+def _children(d: Derivation) -> list[Derivation]:
+    return [*d.premises, *(v for v in d.aux.values() if isinstance(v, Derivation))]
+
+
 class _Writer:
-    """Writes the nodes of one proof.  Sequents repeat their whole context, so
-    each distinct term is printed, and each distinct context sorted and
-    printed, once."""
+    """Writes the tables of one proof.  Nodes are keyed by identity, so a
+    subtree shared in memory is written once; a context is written as the
+    context of the node it was first reached from plus the terms it adds."""
 
     def __init__(self):
-        self.terms: dict[Term, str] = {}
-        self.gammas: dict[frozenset[Term], list[str]] = {}
+        self.terms: list[str] = []
+        self.contexts: list[dict] = []
+        self.nodes: list[dict] = []
+        self.term_index: dict[Term, int] = {}
+        self.context_index: dict[frozenset[Term], int] = {}
 
-    def term(self, t: Term) -> str:
-        s = self.terms.get(t)
-        if s is None:
-            s = self.terms[t] = format_term(t)
-        return s
+    def term(self, t: Term) -> int:
+        i = self.term_index.get(t)
+        if i is None:
+            i = self.term_index[t] = len(self.terms)
+            self.terms.append(format_term(t))
+        return i
 
-    def node(self, d: Derivation) -> dict:
-        g = d.conclusion.gamma
-        gamma = self.gammas.get(g)
-        if gamma is None:
-            gamma = self.gammas[g] = [self.term(t) for t in sorted(g, key=lambda t: t.key)]
+    def context(self, g: frozenset[Term], above: frozenset[Term] | None) -> None:
+        if g in self.context_index:
+            return
+        if above is not None and above <= g:
+            parent, added = self.context_index[above], g - above
+        else:
+            parent, added = None, g
+        self.context_index[g] = len(self.contexts)
+        self.contexts.append({"parent": parent,
+                              "add": [self.term(t) for t in sorted(added, key=_key)]})
+
+    def walk(self, root: Derivation) -> int:
+        """Write every node below root, premises first; root's index."""
+        index: dict[int, int] = {}
+        active: set[int] = set()
+        # (node, Gamma of the node it was reached from, premises written)
+        stack: list[tuple] = [(root, None, False)]
+        while stack:
+            node, above, expanded = stack.pop()
+            key = id(node)
+            if expanded:
+                active.discard(key)
+                index[key] = len(self.nodes)
+                self.nodes.append(self.node(node, index))
+                continue
+            if key in index:
+                continue
+            if key in active:
+                raise ValueError("a derivation that is its own premise cannot be written")
+            active.add(key)
+            g = node.conclusion.gamma
+            self.context(g, above)
+            stack.append((node, None, True))
+            stack.extend((c, g, False) for c in reversed(_children(node)))
+        return index[id(root)]
+
+    def node(self, d: Derivation, index: dict[int, int]) -> dict:
         aux: dict = {}
         for k, v in d.aux.items():
             if isinstance(v, Term):
@@ -772,16 +900,16 @@ class _Writer:
             elif isinstance(v, ElemWitness):
                 aux[k] = self.witness(v)
             elif isinstance(v, Derivation):
-                aux[k] = self.node(v)
+                aux[k] = index[id(v)]
             else:
                 aux[k] = v
         return {
             "system": d.system,
             "rule": d.rule,
-            "gamma": list(gamma),
+            "context": self.context_index[d.conclusion.gamma],
             "goal": self.term(d.conclusion.goal),
             "aux": aux,
-            "premises": [self.node(p) for p in d.premises],
+            "premises": [index[id(p)] for p in d.premises],
         }
 
     def witness(self, w: ElemWitness) -> dict:
@@ -793,36 +921,74 @@ class _Writer:
 
 
 class _Reader:
-    """Reads the nodes of one proof object, checking the JSON type of every
-    field it interprets.  Each distinct term string is parsed once."""
+    """Reads one proof object, checking the JSON type of every field it
+    interprets and that every index is a non-negative integer naming an
+    earlier entry of its table (any entry of the term table).  Each distinct
+    term string is parsed once, and each context built once, so nodes with
+    the same context share one frozenset."""
 
     def __init__(self):
-        self.terms: dict[str, Term] = {}
+        self.parsed: dict[str, Term] = {}
+        self.terms: list[Term] = []
+        self.nodes: list[Derivation] = []
 
-    def term(self, s, what: str) -> Term:
+    def proof(self, obj) -> Derivation:
+        if not isinstance(obj, dict):
+            raise _malformed(f"a proof must be an object, found {type(obj).__name__}")
+        version = obj.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            found = "no version" if "version" not in obj else f"version {version!r}"
+            raise _malformed(f"expected version {FORMAT_VERSION}, found {found}")
+        system = _field(obj, "system", str)
+        self.terms = [self.term(i, s) for i, s in enumerate(_field(obj, "terms", list))]
+        contexts: list[frozenset[Term]] = []
+        for c in _field(obj, "contexts", list):
+            if not isinstance(c, dict):
+                raise _malformed(f"a context must be an object, found {type(c).__name__}")
+            parent = _required(c, "parent")
+            base = (frozenset() if parent is None
+                    else contexts[_index(parent, len(contexts), "a context parent")])
+            added = [self.term_at(j) for j in _field(c, "add", list)]
+            contexts.append(base.union(added) if added else base)
+        for obj_node in _field(obj, "nodes", list):
+            self.nodes.append(self.node(obj_node, contexts))
+        root = self.nodes[_index(_required(obj, "root"), len(self.nodes), "root")]
+        if root.system != system:
+            raise _malformed(f"the proof says system {system!r}, its root is {root.system!r}")
+        return root
+
+    def term(self, i: int, s) -> Term:
         if not isinstance(s, str):
-            raise _malformed(f"{what} must be a string, found {type(s).__name__}")
-        t = self.terms.get(s)
+            raise _malformed(f"term {i} must be a string, found {type(s).__name__}")
+        t = self.parsed.get(s)
         if t is None:
-            t = self.terms[s] = parse_term(s)
+            try:
+                t = self.parsed[s] = parse_term(s)
+            except ValueError as e:
+                raise _malformed(f"term {i} does not parse: {e}") from None
         return t
 
-    def node(self, obj) -> Derivation:
+    def term_at(self, i) -> Term:
+        return self.terms[_index(i, len(self.terms), "a term index")]
+
+    def node(self, obj, contexts: list[frozenset[Term]]) -> Derivation:
         if not isinstance(obj, dict):
             raise _malformed(f"a node must be an object, found {type(obj).__name__}")
+        earlier = len(self.nodes)
         system = _field(obj, "system", str)
         rule = _field(obj, "rule", str)
-        gamma = frozenset([self.term(s, "a gamma member") for s in _field(obj, "gamma", list)])
-        goal = self.term(_field(obj, "goal", str), "goal")
-        premises = tuple([self.node(p) for p in _field(obj, "premises", list, [])])
+        gamma = contexts[_index(_required(obj, "context"), len(contexts), "a node context")]
+        goal = self.term_at(_required(obj, "goal"))
+        premises = tuple([self.nodes[_index(p, earlier, "a premise")]
+                          for p in _field(obj, "premises", list)])
         aux: dict = {}
-        for k, v in _field(obj, "aux", dict, {}).items():
+        for k, v in _field(obj, "aux", dict).items():
             if k in ("principal", "abstracted"):
-                aux[k] = self.term(v, k)
+                aux[k] = self.term_at(v)
             elif k == "witness":
                 aux[k] = self.witness(v)
             elif k == "right":
-                aux[k] = self.node(v)
+                aux[k] = self.nodes[_index(v, earlier, "aux.right")]
             else:
                 aux[k] = v
         return Derivation(system, rule, Sequent(gamma, goal), premises, aux)
@@ -834,29 +1000,37 @@ class _Reader:
         theory = _field(obj, "theory", str)
         raw = _field(obj, "entries", list)
         if kind in ("empty", "xor"):
-            return ElemWitness(theory, kind,
-                               tuple([self.term(s, "a witness entry") for s in raw]))
+            return ElemWitness(theory, kind, tuple([self.term_at(e) for e in raw]))
         entries = []
         for e in raw:
             if not (isinstance(e, list) and len(e) == 2 and type(e[1]) is int):
                 raise _malformed(f"a {kind} witness entry must be [term, count], found {e!r}")
-            entries.append((self.term(e[0], "a witness entry"), e[1]))
+            entries.append((self.term_at(e[0]), e[1]))
         return ElemWitness(theory, kind, tuple(entries))
 
 
 _JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
 
 
-def _field(obj: dict, key: str, kind: type, default=None):
-    """obj[key], which must have the given JSON type; default if it is
-    absent and a default is given."""
+def _required(obj: dict, key: str):
     if key not in obj:
-        if default is None:
-            raise _malformed(f"missing {key!r}")
-        return default
-    v = obj[key]
+        raise _malformed(f"missing {key!r}")
+    return obj[key]
+
+
+def _field(obj: dict, key: str, kind: type):
+    """obj[key], which must have the given JSON type."""
+    v = _required(obj, key)
     if not isinstance(v, kind):
         raise _malformed(f"{key!r} must be {_JSON_TYPES[kind]}, found {type(v).__name__}")
+    return v
+
+
+def _index(v, limit: int, what: str) -> int:
+    """v, which must be an integer in [0, limit): JSON true and 1.0 are not
+    indices, and Python would read -1 as the last entry."""
+    if type(v) is not int or not 0 <= v < limit:
+        raise _malformed(f"{what} must be an integer in [0, {limit}), found {v!r}")
     return v
 
 
@@ -864,48 +1038,40 @@ def _malformed(reason: str) -> ValueError:
     return ValueError(f"malformed proof object: {reason}")
 
 
-def _indented(v, nl: str, out: list[str]) -> None:
-    """Append to out the text json.dumps(v, indent=2) gives v, where nl is
-    the line break and indentation of the line v starts on."""
-    if isinstance(v, str):
-        out.append(_encode_str(v))
-    elif isinstance(v, dict):
-        if not v:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k, x in v.items():
-            out.append(sep + _encode_str(k) + ": ")
-            _indented(x, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for x in v:
-            out.append(sep)
-            _indented(x, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    else:
-        out.append(json.dumps(v))
+def _key(t: Term) -> tuple:
+    return t.key
 
 
-def render_text(d: Derivation, indent: int = 0) -> str:
-    pad = "  " * indent
-    note = ""
-    if "principal" in d.aux:
-        note = f"  [{format_term(d.aux['principal'])}]"
-    elif "abstracted" in d.aux:
-        note = f"  [{format_term(d.aux['abstracted'])}]"
-    lines = [f"{pad}{d.rule}: {d.conclusion!r}{note}"]
-    emb = d.aux.get("right")
-    if isinstance(emb, Derivation):
-        lines.append(render_text(emb, indent + 1))
-    for p in d.premises:
-        lines.append(render_text(p, indent + 1))
+def render_text(d: Derivation) -> str:
+    """One line per node, premises indented under their conclusion, a right
+    proof first.  Below the root, "..." stands for the Gamma of the line the
+    node hangs from, followed by the terms the node's Gamma adds to it.  A
+    node reached again (a shared subtree) gets one line that points back to
+    where it was printed."""
+    lines: list[str] = []
+    printed: dict[int, int] = {}
+    stack: list[tuple] = [(d, 0, None)]
+    while stack:
+        node, depth, above = stack.pop()
+        first = printed.get(id(node))
+        if first is not None:
+            lines.append(f"{'  ' * depth}{node.rule}: as on line {first}")
+            continue
+        printed[id(node)] = len(lines) + 1
+        g = node.conclusion.gamma
+        if above is not None and above <= g:
+            left = ["...", *map(format_term, sorted(g - above, key=_key))]
+        else:
+            left = [format_term(t) for t in sorted(g, key=_key)]
+        note = ""
+        for k in ("principal", "abstracted"):
+            if k in node.aux:
+                note = f"  [{format_term(node.aux[k])}]"
+                break
+        lines.append(f"{'  ' * depth}{node.rule}: {', '.join(left)} |- "
+                     f"{format_term(node.conclusion.goal)}{note}")
+        emb = node.aux.get("right")
+        below = [emb] if isinstance(emb, Derivation) else []
+        below += node.premises
+        stack.extend((p, depth + 1, g) for p in reversed(below))
     return "\n".join(lines)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from conftest import gen_ground, gen_instance, gen_wf_system
+from test_proofs import _doubling_nd_proof
 from intruder import cli, constraints, engine, proofs
 from intruder.proofs import dumps, linear_to_seq, loads, seq_to_nd
 from intruder.rewriting import make_theories
@@ -345,10 +346,11 @@ def test_check_corrupted_premise(tmp_path, capsys):
     d = engine.deduce([parse_term("enc(a, k)"), parse_term("k")],
                       parse_term("a"), ths)
     blob = json.loads(dumps(d))
-    node = blob
+    node = blob["nodes"][blob["root"]]
     while node["premises"]:
-        node = node["premises"][-1]
-    node["goal"] = "pair(a, a)"
+        node = blob["nodes"][node["premises"][-1]]
+    blob["terms"].append("pair(a, a)")
+    node["goal"] = len(blob["terms"]) - 1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(blob))
     assert cli.main(["check", "--proof", str(path), "--theory", "empty"]) == 1
@@ -371,7 +373,7 @@ PROOF_SOURCES = {"empty": (("enc(a, k)", "k"), "a"), "ag": (("a+b", "b"), "a")}
     ("empty", ("aux", "right", "aux", "witness"), 5),
     ("empty", ("aux",), [1]),
     ("empty", ("aux", "right"), "k"),
-    ("empty", ("gamma",), "ab"),
+    ("empty", ("context",), "ab"),
     ("empty", ("goal",), ["a"]),
     ("empty", ("rule",), ["le"]),
     ("empty", ("premises",), [5]),
@@ -383,9 +385,12 @@ def test_malformed_proof_shapes_are_input_errors(tmp_path, theory, path, value):
     ths = make_theories((theory,))
     d = engine.deduce([parse_term(t) for t in knows], parse_term(goal), ths)
     blob = json.loads(dumps(d))
-    node = blob
+    # the path starts at the root node and follows aux.right to its node
+    node = blob["nodes"][blob["root"]]
     for key in path[:-1]:
         node = node[key]
+        if key == "right":
+            node = blob["nodes"][node]
     node[path[-1]] = value
     proof = write(tmp_path, json.dumps(blob), "bad.json")
     for command in (["check"], ["translate", "--direction", "seq2nd"]):
@@ -453,7 +458,7 @@ def test_translate_rejects_invalid_input_proof(tmp_path, capsys):
     ths = make_theories(("empty",))
     d = engine.deduce([parse_term("pair(a, b)")], parse_term("a"), ths)
     blob = json.loads(dumps(d))
-    blob["goal"] = "b"
+    blob["nodes"][blob["root"]]["goal"] = blob["terms"].index("b")
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(blob))
     rc = cli.main(["translate", "--proof", str(path), "--direction", "seq2nd",
@@ -493,3 +498,135 @@ def test_print_parse_round_trip_random():
     for _ in range(400):
         t = gen_ground(rng, names, ths)
         assert parse_term(format_term(t)) is t
+
+
+def _set(blob, path, value):
+    """Replace the value at path; the "root" key of a path names the root node."""
+    node = blob
+    for key in path[:-1]:
+        node = blob["nodes"][blob["root"]] if key == "root" else node[key]
+    node[path[-1]] = value
+
+
+def _leaf(blob):
+    """The index of a node with no premises and no right proof."""
+    return next(i for i, n in enumerate(blob["nodes"])
+                if not n["premises"] and "right" not in n["aux"])
+
+
+MALFORMED_V2 = {
+    "term index out of range": lambda b: _set(b, ("root", "goal"), len(b["terms"])),
+    "negative term index": lambda b: _set(b, ("root", "goal"), -1),
+    "negative premise": lambda b: _set(b, ("root", "premises"), [-1]),
+    "negative root": lambda b: _set(b, ("root",), -1),
+    "true as an index": lambda b: _set(b, ("root", "context"), True),
+    "float index": lambda b: _set(b, ("root", "goal"), 0.0),
+    "true as a context parent": lambda b: _set(b, ("contexts", 1, "parent"), True),
+    "forward premise": lambda b: _set(b, ("nodes", _leaf(b), "premises"), [b["root"]]),
+    "premise of itself": lambda b: _set(b, ("nodes", 0, "premises"), [0]),
+    "forward right proof": lambda b: _set(b, ("nodes", _leaf(b), "aux", "right"), b["root"]),
+    "context parent out of range": lambda b: _set(b, ("contexts", 1, "parent"), 99),
+    "context parent of itself": lambda b: _set(b, ("contexts", 0, "parent"), 0),
+    "root out of range": lambda b: _set(b, ("root",), len(b["nodes"])),
+    "missing version": lambda b: b.pop("version"),
+    "version 1": lambda b: _set(b, ("version",), 1),
+    "version 3": lambda b: _set(b, ("version",), 3),
+    "version as a string": lambda b: _set(b, ("version",), "2"),
+    "root system mismatch": lambda b: _set(b, ("system",), "S"),
+}
+
+OLD_NESTED_PROOF = {
+    "system": "L", "rule": "r", "gamma": ["a", "b"], "goal": "pair(a,b)",
+    "aux": {"right": {"system": "S", "rule": "id", "gamma": ["a", "b"], "goal": "a",
+                      "aux": {"witness": {"theory": "empty", "kind": "empty",
+                                          "entries": ["a"]}}, "premises": []}},
+    "premises": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_V2) + ["old nested file"])
+def test_malformed_flat_proofs_exit_2(tmp_path, capsys, case):
+    if case == "old nested file":
+        blob = OLD_NESTED_PROOF
+    else:
+        ths = make_theories(("empty",))
+        d = engine.deduce([parse_term("enc(a, k)"), parse_term("k")], parse_term("a"), ths)
+        blob = json.loads(dumps(d))
+        MALFORMED_V2[case](blob)
+    path = write(tmp_path, json.dumps(blob), "bad.json")
+    for command in (["check"], ["translate", "--direction", "seq2nd"],
+                    ["translate", "--direction", "nd2seq"]):
+        rc = cli.main([*command, "--proof", path, "--theory", "empty"])
+        out, err = capsys.readouterr()
+        assert rc == 2, (command, err)
+        assert out == ""
+        assert err.startswith("error: malformed proof object:"), err
+        assert "Traceback" not in err
+        if "version" in case or case == "old nested file":
+            assert "expected version 2" in err, err
+
+
+def test_translate_checks_each_proof_once(tmp_path, capsys, monkeypatch):
+    ths = make_theories(("xor",))
+    d = engine.deduce([parse_term("a+b"), parse_term("b+c")], parse_term("a+c"), ths)
+    seq = linear_to_seq(d, ths)
+    files = {sys_: tmp_path / f"{sys_}.json" for sys_ in "LSN"}
+    files["L"].write_text(dumps(d))
+    files["S"].write_text(dumps(seq))
+    files["N"].write_text(dumps(seq_to_nd(seq, ths)))
+    checked = []
+    real = proofs.find_error
+
+    def recording(proof, theories):
+        checked.append(proof.system)
+        return real(proof, theories)
+
+    monkeypatch.setattr(proofs, "find_error", recording)
+    for source, direction, want in (("N", "nd2seq", ["N", "S"]),
+                                    ("S", "seq2nd", ["S", "N"]),
+                                    ("L", "seq2nd", ["L", "S", "N"])):
+        checked.clear()
+        assert cli.main(["translate", "--proof", str(files[source]),
+                         "--direction", direction, "--theory", "xor"]) == 0
+        capsys.readouterr()
+        assert checked == want, (source, direction)
+
+
+def test_two_thousand_link_proof_under_the_default_recursion_limit(tmp_path):
+    n = 2000
+    lines = ["theory: empty", "knows: k0"]
+    lines += [f"knows: enc(k{j + 1}, k{j})" for j in range(n)]
+    problem = write(tmp_path, "\n".join(lines + [f"goal: k{n}"]) + "\n")
+
+    def run(*argv, stdin=None):
+        return subprocess.run([sys.executable, "-m", "intruder.cli", *argv], input=stdin,
+                              env=_src_env(), capture_output=True, text=True, timeout=300)
+
+    proof = run("deduce", "--input", problem, "--emit-proof", "json")
+    assert proof.returncode == 0, proof.stderr
+    checked = run("check", "--proof", "-", "--theory", "empty", stdin=proof.stdout)
+    assert checked.returncode == 0, checked.stderr
+    assert checked.stdout.startswith("valid L proof of:")
+    text = run("deduce", "--input", problem, "--emit-proof", "text")
+    assert text.returncode == 0, text.stderr
+    assert text.stdout.startswith("derivable\nle: ")
+    # the translations still recurse once per link: an internal error, not a verdict
+    translated = run("translate", "--proof", "-", "--direction", "seq2nd",
+                     "--theory", "empty", stdin=proof.stdout)
+    assert translated.returncode == 3, translated.stderr
+    assert translated.stdout == ""
+    assert translated.stderr.startswith("error: internal: RecursionError")
+
+
+def test_translate_takes_a_shared_subtree_once(tmp_path, capsys):
+    # 161 nodes in the file, 2^40 paths through them
+    path = write(tmp_path, dumps(_doubling_nd_proof(40)), "shared.json")
+    assert cli.main(["translate", "--proof", path, "--direction", "nd2seq",
+                     "--theory", "empty"]) == 0
+    seq = capsys.readouterr().out
+    assert len(seq) < 100_000
+    seq_path = write(tmp_path, seq, "seq.json")
+    assert cli.main(["translate", "--proof", seq_path, "--direction", "seq2nd",
+                     "--theory", "empty", "--emit-proof", "text"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("e_E: ") and text.count("\n") < 1000

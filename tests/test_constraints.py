@@ -6,12 +6,13 @@ import pytest
 from conftest import GroundOracle, gen_wf_system, ground_universe, instrumented_solve
 from oracles import exhaustive_solve, step
 from test_acceptance import NAMES_DESK, desk_systems
+from intruder import constraints
 from intruder.constraints import (Constraint, RULES, Substitution,
                                   constraint_measure, extract_solution,
                                   measure_less, mgu, parse_constraint_file,
                                   parse_constraint_line, proper, right,
-                                  shared_names, solve, system, system_measure,
-                                  verify_solution, well_formed)
+                                  shared_names, solve, successors, system,
+                                  system_measure, verify_solution, well_formed)
 from intruder.terms import eapp, enc, name, pair, substitute, var, variables
 
 a, b, c, k, m = (name(n) for n in "abckm")
@@ -326,3 +327,19 @@ def test_solution_edges_stay_within_the_rule_set():
     sols = instrumented_solve(s, record=record, all_solutions=True)
     assert sols and record
     assert set(record) <= set(RULES)
+
+
+def test_reductions_measure_the_parent_once(monkeypatch):
+    root = next(s for s in desk_systems(400) if len(list(successors(s))) == 2)
+    calls = []
+    real = constraints.system_measure
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(constraints, "system_measure", counting)
+    children = [edge[3] for edge in successors(root)]
+    assert len(children) == 2
+    assert len(calls) == len(children) + 1
+    assert [s for s in calls if s is root] == [root]

@@ -352,11 +352,26 @@ def test_left_rule_count():
 def test_json_schema_fields():
     d = deduce({a, b}, plus(pair(a, b), a), ACS)
     obj = to_json(d)
-    assert set(obj) == {"system", "rule", "gamma", "goal", "aux", "premises"}
-    assert obj["system"] == "L" and obj["rule"] == "ls"
-    assert obj["gamma"] == ["a", "b"]
-    assert obj["goal"] == "a+pair(a,b)"
-    assert obj["aux"]["principal"] == "pair(a,b)"
+    assert list(obj) == ["system", "version", "terms", "contexts", "nodes", "root"]
+    assert obj["system"] == "L" and obj["version"] == 2
+    terms = obj["terms"]
+    assert len(set(terms)) == len(terms)
+    for ctx in obj["contexts"]:
+        assert list(ctx) == ["parent", "add"]
+    for node in obj["nodes"]:
+        assert list(node) == ["system", "rule", "context", "goal", "aux", "premises"]
+    root = obj["nodes"][obj["root"]]
+    assert obj["root"] == len(obj["nodes"]) - 1
+    assert root["system"] == "L" and root["rule"] == "ls"
+    ctx = obj["contexts"][root["context"]]
+    assert ctx["parent"] is None and [terms[i] for i in ctx["add"]] == ["a", "b"]
+    assert terms[root["goal"]] == "a+pair(a,b)"
+    assert terms[root["aux"]["principal"]] == "pair(a,b)"
+    (prem,) = root["premises"]
+    below = obj["contexts"][obj["nodes"][prem]["context"]]
+    assert below["parent"] == root["context"]
+    assert [terms[i] for i in below["add"]] == ["pair(a,b)"]
+    assert obj["nodes"][root["aux"]["right"]]["rule"] == "p_R"
 
 
 def test_json_round_trip():
@@ -388,9 +403,14 @@ def _proof_forms(theory_name, seed):
 @pytest.mark.parametrize("theory_name,seed",
                          [("empty", 61), ("xor", 62), ("ag", 63), ("ac", 64)])
 def test_dumps_writes_what_json_dumps_writes(theory_name, seed):
+    # the text holds the object to_json gives, one table entry per line
     for d in _proof_forms(theory_name, seed):
         text = dumps(d)
-        assert text == json.dumps(to_json(d), indent=2)
+        obj = to_json(d)
+        assert json.loads(text) == obj
+        lines = text.splitlines()
+        assert lines[1] == f'  "system": "{d.system}",'
+        assert len(lines) == 11 + sum(len(obj[k]) for k in ("terms", "contexts", "nodes"))
         back = loads(text)
         assert back.conclusion == d.conclusion
         assert dumps(back) == text
@@ -404,25 +424,12 @@ def test_dumps_writes_unknown_aux_values_as_json_does():
     d = Derivation("S", "id", Sequent(frozenset({a, b}), a), (),
                    {"witness": ElemWitness("empty", "empty", (a,)), "theory": "empty", **extra})
     text = dumps(d)
-    assert text == json.dumps(to_json(d), indent=2)
+    assert json.loads(text) == to_json(d)
+    assert json.loads(text)["nodes"][0]["aux"]["nested"] == extra["nested"]
     back = loads(text)
     assert back.aux["witness"] == d.aux["witness"]
     assert {key: back.aux[key] for key in extra} == extra
     assert dumps(back) == text
-
-
-def _term_strings(obj):
-    """Every term string a proof object holds, with repeats."""
-    out = list(obj["gamma"]) + [obj["goal"]]
-    aux = obj["aux"]
-    out += [aux[key] for key in ("principal", "abstracted") if key in aux]
-    if "witness" in aux:
-        out += [e if isinstance(e, str) else e[0] for e in aux["witness"]["entries"]]
-    if "right" in aux:
-        out += _term_strings(aux["right"])
-    for p in obj["premises"]:
-        out += _term_strings(p)
-    return out
 
 
 def test_loads_parses_each_distinct_term_string_once(monkeypatch):
@@ -433,7 +440,8 @@ def test_loads_parses_each_distinct_term_string_once(monkeypatch):
     gamma = {rs[0]} | {pub(s) for s in sks}
     gamma |= {sign(blind(rs[j + 1], rs[j]), sks[j]) for j in range(n)}
     text = dumps(deduce(gamma, rs[n], EMPTYS))
-    strings = _term_strings(json.loads(text))
+    obj = json.loads(text)
+    strings = obj["terms"]
     calls = []
     real = proofs.parse_term
 
@@ -444,8 +452,12 @@ def test_loads_parses_each_distinct_term_string_once(monkeypatch):
     monkeypatch.setattr(proofs, "parse_term", counting)
     d = loads(text)
     assert find_error(d, EMPTYS) is None
-    assert len(strings) > 10 * len(set(strings))
-    assert sorted(calls) == sorted(set(strings))
+    assert len(set(strings)) == len(strings)
+    assert sorted(calls) == sorted(strings)
+    # every node refers to a term by index, and a context by one shared set
+    nodes = _nodes(d)
+    assert len(nodes) > len(obj["contexts"])
+    assert len({id(x.conclusion.gamma) for x in nodes}) == len(obj["contexts"])
 
 
 def test_loads_rejects_malformed_input():
@@ -457,6 +469,11 @@ def test_loads_rejects_malformed_input():
         loads('{"system": "S"}')
     with pytest.raises(ValueError):
         loads('{"system": "S", "rule": "id", "gamma": ["???"], "goal": "a"}')
+    with pytest.raises(ValueError, match="nested too deep"):
+        loads("[" * 100000)
+    with pytest.raises(ValueError, match="term 0 does not parse"):
+        loads('{"system": "S", "version": 2, "terms": ["???"], "contexts": [],'
+              ' "nodes": [], "root": 0}')
 
 
 def test_linear_to_seq_rejects_wrong_system():
@@ -471,10 +488,167 @@ def test_render_text_mentions_rules_and_principals():
 
 
 def _nodes(d):
-    out = [d]
-    for p in d.premises:
-        out.extend(_nodes(p))
-    emb = d.aux.get("right")
-    if isinstance(emb, Derivation):
-        out.extend(_nodes(emb))
+    """Every node below d, once per path that reaches it."""
+    out, stack = [], [d]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(_children_of(node))
     return out
+
+
+def _shared_nd_proof():
+    """An N proof whose ag fold repeats one leaf object, and whose regrafts
+    put one payload proof under several leaves."""
+    ths = make_theories(("ag",))
+    gamma = {enc(pair(a, b), k), k, eapp("inv", (c,))}
+    goal = plus(a, a, eapp("inv", (c,)))
+    s = linear_to_seq(deduce(gamma, goal, ths), ths)
+    return seq_to_nd(s, ths), ths
+
+
+def test_writer_and_reader_keep_shared_nodes_shared():
+    nd, ths = _shared_nd_proof()
+    distinct = {id(x) for x in _nodes(nd)}
+    assert len(distinct) < len(_nodes(nd))  # the proof shares subtrees
+    obj = to_json(nd)
+    assert len(obj["nodes"]) == len(distinct)
+    back = loads(dumps(nd))
+    assert len({id(x) for x in _nodes(back)}) == len(distinct)
+    assert find_error(back, ths) is None
+
+
+def test_find_error_checks_each_shared_node_once(monkeypatch):
+    nd, ths = _shared_nd_proof()
+    seen = []
+    real = proofs._check_n
+
+    def counting(d, theories):
+        seen.append(id(d))
+        return real(d, theories)
+
+    monkeypatch.setattr(proofs, "_check_n", counting)
+    assert find_error(nd, ths) is None
+    assert sorted(seen) == sorted({id(x) for x in _nodes(nd)})
+
+
+def _enc_chain(n):
+    ks = [name(f"k{i:04d}") for i in range(n + 1)]
+    return [ks[0]] + [enc(ks[j + 1], ks[j]) for j in range(n)], ks[n]
+
+
+def test_find_error_normalizes_the_root_context_and_added_terms_only(monkeypatch):
+    gamma, goal = _enc_chain(60)
+    d = deduce(gamma, goal, EMPTYS)
+    looked_at = []
+    real = proofs._Checker.normal
+
+    def counting(self, terms, what):
+        terms = tuple(terms)
+        looked_at.extend(terms)
+        return real(self, terms, what)
+
+    monkeypatch.setattr(proofs._Checker, "normal", counting)
+    assert find_error(d, EMPTYS) is None
+    nodes = len({id(x) for x in _nodes(d)})
+    # the root's Gamma, every goal, and the payload and key each le adds
+    assert len(looked_at) == len(gamma) + nodes + 2 * 60
+
+
+def test_find_error_rejects_root_and_added_terms_out_of_normal_form():
+    err = find_error(s_id({plus(a, a), a}, a, "xor"), XORS)
+    assert err is not None and "Gamma member a+a is not in normal form" in err, err
+    g = frozenset({a})
+    left = s_id(g, plus(a, a), "xor")
+    right = s_id(g | {plus(a, a)}, a, "xor")
+    cut = Derivation("S", "cut", Sequent(g, a), (left, right))
+    err = find_error(cut, XORS)
+    assert err is not None and err.startswith("root: ") and "normal form" in err, err
+
+
+def test_find_error_rejects_a_proof_that_is_its_own_premise():
+    g = frozenset({pair(a, b), a, b})
+    d = Derivation("L", "lp", Sequent(g, a), (), {"principal": pair(a, b)})
+    d.premises = (d,)
+    err = find_error(d, EMPTYS)
+    assert err is not None and "cycle" in err, err
+    with pytest.raises(ValueError):
+        dumps(d)
+
+
+def test_deep_chain_is_checked_and_serialized_without_recursion():
+    gamma, goal = _enc_chain(2000)
+    d = deduce(gamma, goal, EMPTYS)
+    assert find_error(d, EMPTYS) is None
+    text = dumps(d)
+    back = loads(text)
+    assert find_error(back, EMPTYS) is None
+    assert dumps(back) == text
+    assert render_text(d).count("\n") + 1 == len(_nodes(d))
+
+
+def test_render_text_shows_the_terms_a_premise_adds():
+    d = deduce({enc(a, k), k}, a, EMPTYS)
+    assert render_text(d).splitlines() == [
+        "le: k, enc(a,k) |- a  [enc(a,k)]",
+        "  id: ... |- k",
+        "  r: ..., a |- a",
+        "    id: ... |- a",
+    ]
+
+
+def _doubling_nd_proof(n):
+    """An N proof of x_n whose step i uses the proof of x_(i-1) twice (pair
+    it with itself, then take it apart): 2^n paths through 4n+1 nodes."""
+    xs = [name(f"x{i}") for i in range(n + 1)]
+    g = frozenset([xs[0]] + [enc(xs[i], xs[i - 1]) for i in range(1, n + 1)])
+    d = n_id(g, xs[0])
+    for i in range(1, n + 1):
+        both = Derivation("N", "p_I", Sequent(g, pair(xs[i - 1], xs[i - 1])), (d, d))
+        back = Derivation("N", "p_E", Sequent(g, xs[i - 1]), (both,))
+        d = Derivation("N", "e_E", Sequent(g, xs[i]), (n_id(g, enc(xs[i], xs[i - 1])), back))
+    return d
+
+
+def test_translations_take_shared_subtrees_once():
+    nd = _doubling_nd_proof(40)
+    assert find_error(nd, EMPTYS) is None
+    seq = nd_to_seq(nd, EMPTYS)
+    assert find_error(seq, EMPTYS) is None
+    back = seq_to_nd(seq, EMPTYS)
+    assert find_error(back, EMPTYS) is None
+    assert seq.conclusion == back.conclusion == nd.conclusion
+    assert weaken(seq, {c}).conclusion.gamma == nd.conclusion.gamma | {c}
+    for d in (nd, seq, back):
+        distinct = len({id(x) for x in _nodes_once(d)})
+        assert distinct < 40 * 40
+        assert len(to_json(d)["nodes"]) == distinct
+        assert render_text(d).count("\n") < 2 * distinct
+
+
+def test_render_text_prints_a_shared_subtree_once():
+    nd = _doubling_nd_proof(1)
+    assert render_text(nd).splitlines() == [
+        "e_E: x0, enc(x1,x0) |- x1",
+        "  id: ... |- enc(x1,x0)",
+        "  p_E: ... |- x0",
+        "    p_I: ... |- pair(x0,x0)",
+        "      id: ... |- x0",
+        "      id: as on line 5",
+    ]
+
+
+def _nodes_once(d):
+    """Every distinct node below d."""
+    seen, stack = {}, [d]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(_children_of(node))
+    return list(seen.values())
+
+
+def _children_of(node):
+    emb = node.aux.get("right")
+    return [*node.premises, *([emb] if isinstance(emb, Derivation) else [])]
