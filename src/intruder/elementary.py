@@ -12,6 +12,17 @@ per problem as an atom vector whose alien atoms are class variables
 (Abstraction.vector), after which membership, a natural-number multiset
 equation, GF(2) elimination, or exact integer elimination settles the
 question.  Inputs are expected in normal form.
+
+For xor and abelian groups the problem's table also keeps a span per
+theory: an echelon basis of the vectors of the Gamma members seen so far
+(GF(2) bitmask rows; integer rows kept a basis of the same lattice by
+extended-gcd steps).  A call adds only the members the span has not seen,
+and rebuilds it when Gamma is not a superset of them; the engine's context
+only grows, so there it never does.  A goal that does not reduce to zero
+against the span is answered "no" at once.  Only a "yes" runs the
+elimination over the sorted Gamma, which builds the witness exactly as it
+would without the span; should it find none, that is a bug, and
+RuntimeError says so.
 """
 from __future__ import annotations
 
@@ -41,23 +52,41 @@ class ElemWitness:
 def elem_deduce(theory: Theory, gamma: Iterable[Term], goal: Term,
                 table: Abstraction | None = None,
                 theories: Sequence[Theory] | None = None) -> ElemWitness | None:
-    """Decide whether some context over the theory maps Gamma members to goal."""
+    """Decide whether some context over the theory maps Gamma members to goal.
+
+    Under xor and ag the goal is first reduced against the table's span of
+    Gamma; elimination runs only when it is in the span, for the witness.
+    """
     if theory.backend == "empty":
         if goal in gamma:
             return ElemWitness(theory.name, "empty", (goal,))
         return None
-    # witnesses list Gamma in term order, so the same problem has one answer
-    gamma = sorted(set(gamma), key=lambda t: t.key)
     theories = as_theories(theories) if theories is not None else (theory,)
     if table is None:
         table = Abstraction(theories)
     if theory.backend == "ac":
-        return _decide_ac(theory, gamma, goal, table)
-    if theory.backend == "xor":
-        return _decide_xor(theory, gamma, goal, table)
-    if theory.backend == "ag":
-        return _decide_ag(theory, gamma, goal, table)
-    raise ValueError(f"theory {theory.name!r} has no elementary backend")
+        return _decide_ac(theory, _in_order(gamma), goal, table)
+    decide = _WITNESS.get(theory.backend)
+    if decide is None:
+        raise ValueError(f"theory {theory.name!r} has no elementary backend")
+    gamma = frozenset(gamma)
+    target = table.vector(goal, theory)
+    if target and not _span(table, theory, gamma).holds(target):
+        return None
+    w = decide(theory, _in_order(gamma), goal, table)
+    if w is None and target:
+        raise RuntimeError(f"the {theory.name} span holds {goal} "
+                           "but elimination finds no witness")
+    return w
+
+
+def _in_order(gamma: Iterable[Term]) -> list[Term]:
+    # witnesses list Gamma in term order, so the same problem has one answer
+    return sorted(set(gamma), key=_key)
+
+
+def _key(t: Term) -> tuple:
+    return t.key
 
 
 def replay(witness: ElemWitness, gamma: Iterable[Term], theories) -> Term:
@@ -104,6 +133,149 @@ def replay(witness: ElemWitness, gamma: Iterable[Term], theories) -> Term:
 def _cited(elem: Term, gamma: set[Term]) -> None:
     if elem not in gamma:
         raise ValueError(f"witness cites {elem} outside Gamma")
+
+
+# --- spans --------------------------------------------------------------------
+
+
+def _span(table: Abstraction, theory: Theory, gamma: frozenset[Term]) -> "_Span":
+    """The table's span for the theory, grown to hold exactly Gamma's vectors."""
+    span = table.spans.get(theory)
+    if span is None:
+        span = table.spans[theory] = _SPANS[theory.backend]()
+    if gamma is not span.members:
+        new = gamma - span.members
+        if len(new) + len(span.members) != len(gamma):  # Gamma is no superset
+            span.clear()
+            new = gamma
+        # in term order, as elimination reads them, so class variables
+        # are numbered as they would be without the span
+        for g in sorted(new, key=_key):
+            span.add(table.vector(g, theory))
+        span.members = gamma
+    return span
+
+
+class _Span:
+    """An echelon basis of the vectors of the Gamma members added so far.
+
+    A vector lies in their span (a lattice, for ag) exactly when it reduces
+    to zero against the basis, so a target is decided without elimination.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.members: frozenset[Term] = frozenset()
+
+
+class _XorSpan(_Span):
+    """GF(2) rows as bitmasks, one per lowest set bit."""
+
+    def clear(self) -> None:
+        super().clear()
+        self.bit: dict[Term, int] = {}  # atom -> its bit, fixed when first seen
+        self.rows: dict[int, int] = {}  # lowest set bit -> row
+
+    def add(self, vec: Mapping[Term, int]) -> None:
+        m = 0
+        for a in vec:
+            b = self.bit.get(a)
+            if b is None:
+                b = self.bit[a] = 1 << len(self.bit)
+            m |= b
+        m = self._reduce(m)
+        if m:
+            self.rows[m & -m] = m
+
+    def holds(self, vec: Mapping[Term, int]) -> bool:
+        m = 0
+        for a in vec:
+            b = self.bit.get(a)
+            if b is None:  # no member has the atom
+                return False
+            m |= b
+        return not self._reduce(m)
+
+    def _reduce(self, m: int) -> int:
+        # a row's bits all lie at or above its key, so each step raises m's lowest bit
+        rows = self.rows
+        while m:
+            row = rows.get(m & -m)
+            if row is None:
+                return m
+            m ^= row
+        return 0
+
+
+class _AgSpan(_Span):
+    """Integer rows in echelon form, one per leading atom in term order.
+
+    Rows are combined only by unimodular steps, so they stay a basis of the
+    lattice the added vectors generate.
+    """
+
+    def clear(self) -> None:
+        super().clear()
+        self.rows: dict[Term, dict[Term, int]] = {}  # leading atom -> row
+
+    def add(self, vec: Mapping[Term, int]) -> None:
+        v = dict(vec)
+        while v:
+            lead = min(v, key=_key)
+            row = self.rows.get(lead)
+            if row is None:
+                self.rows[lead] = v
+                return
+            a, b = v[lead], row[lead]
+            if a % b:
+                # s*b + t*a = g: row and v become a row led by g and a
+                # vector without the lead, a unimodular change of basis
+                g, s, t = _xgcd(b, a)
+                self.rows[lead] = _combine(s, row, t, v)
+                v = _combine(a // g, row, -(b // g), v)
+            else:
+                v = _combine(1, v, -(a // b), row)
+
+    def holds(self, vec: Mapping[Term, int]) -> bool:
+        # each step zeroes v's leading atom; rows led by later atoms hold no earlier one
+        v = dict(vec)
+        while v:
+            lead = min(v, key=_key)
+            row = self.rows.get(lead)
+            if row is None or v[lead] % row[lead]:
+                return False
+            v = _combine(1, v, -(v[lead] // row[lead]), row)
+        return True
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0, for a, b not both zero."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _combine(p: int, u: Mapping[Term, int], q: int, v: Mapping[Term, int]) -> dict[Term, int]:
+    """p*u + q*v, without zero entries."""
+    out = {x: p * c for x, c in u.items()} if p != 1 else dict(u)
+    for x, c in v.items():
+        n = out.get(x, 0) + q * c
+        if n:
+            out[x] = n
+        else:
+            out.pop(x, None)
+    return out
+
+
+_SPANS = {"xor": _XorSpan, "ag": _AgSpan}
 
 
 # --- backends ----------------------------------------------------------------
@@ -235,14 +407,15 @@ def _solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
     a = [row[:] for row in rows]
     u = [[int(i == j) for j in range(n)] for i in range(n)]  # column transform
 
+    # rows above r are zero from column lead on, so column steps skip them
     def col_sub(j: int, k: int, q: int) -> None:
-        for i in range(m):
+        for i in range(r, m):
             a[i][j] -= q * a[i][k]
         for i in range(n):
             u[i][j] -= q * u[i][k]
 
     def col_swap(j: int, k: int) -> None:
-        for i in range(m):
+        for i in range(r, m):
             a[i][j], a[i][k] = a[i][k], a[i][j]
         for i in range(n):
             u[i][j], u[i][k] = u[i][k], u[i][j]
@@ -255,7 +428,8 @@ def _solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
             if not cols:
                 break
             j0 = min(cols, key=lambda j: abs(a[r][j]))
-            col_swap(lead, j0)
+            if j0 != lead:
+                col_swap(lead, j0)
             done = True
             for j in range(lead + 1, n):
                 if a[r][j]:
@@ -285,3 +459,6 @@ def _solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
         if sum(rows[r][i] * x[i] for i in range(n)) != b[r]:
             raise RuntimeError("integer elimination returned an inexact solution")
     return x
+
+
+_WITNESS = {"xor": _decide_xor, "ag": _decide_ag}

@@ -806,6 +806,7 @@ def from_json(obj) -> Derivation:
 
 
 _encode = json.JSONEncoder().encode
+_string = json.encoder.encode_basestring_ascii  # what _encode writes for a str
 
 
 def dumps(d: Derivation) -> str:
@@ -813,12 +814,47 @@ def dumps(d: Derivation) -> str:
     context and node tables, on a line of its own."""
     fields = []
     for key, v in to_json(d).items():
-        if isinstance(v, list) and v:
-            v = "[\n    " + ",\n    ".join(map(_encode, v)) + "\n  ]"
+        entry = _TABLE_ENTRY.get(key)
+        if entry is not None and v:
+            v = "[\n    " + ",\n    ".join(map(entry, v)) + "\n  ]"
         else:
             v = _encode(v)
         fields.append(f'  "{key}": {v}')
     return "{\n" + ",\n".join(fields) + "\n}"
+
+
+# Table entries have a fixed shape, so they are written directly: building
+# an encoder per entry with _encode costs more than the writing.  The text is
+# what _encode writes.
+
+def _context_entry(c: dict) -> str:
+    parent = "null" if c["parent"] is None else c["parent"]
+    return f'{{"parent": {parent}, "add": [{", ".join(map(str, c["add"]))}]}}'
+
+
+def _node_entry(n: dict) -> str:
+    aux = ", ".join([f"{_string(k)}: {_aux_value(v)}" for k, v in n["aux"].items()])
+    return (f'{{"system": {_string(n["system"])}, "rule": {_string(n["rule"])}, '
+            f'"context": {n["context"]}, "goal": {n["goal"]}, "aux": {{{aux}}}, '
+            f'"premises": [{", ".join(map(str, n["premises"]))}]}}')
+
+
+def _aux_value(v) -> str:
+    """_encode(v) for the strings, integers, lists and objects aux values
+    are made of (a witness is an object); other values go to _encode."""
+    t = type(v)
+    if t is int:
+        return str(v)
+    if t is str:
+        return _string(v)
+    if t is list:
+        return "[" + ", ".join([_aux_value(x) for x in v]) + "]"
+    if t is dict and all(type(k) is str for k in v):
+        return "{" + ", ".join([f"{_string(k)}: {_aux_value(x)}" for k, x in v.items()]) + "}"
+    return _encode(v)
+
+
+_TABLE_ENTRY = {"terms": _string, "contexts": _context_entry, "nodes": _node_entry}
 
 
 def loads(text: str) -> Derivation:

@@ -502,7 +502,8 @@ class Abstraction:
     same variable exactly when they are equal modulo E.  One table serves
     all constituents of one problem instance, and memoizes per term the
     class variable and the abstracted vector, so each term is normalized
-    and read once per problem.
+    and read once per problem.  It also holds the elementary backends'
+    spans of the problem's context (see elementary).
     """
 
     def __init__(self, theories):
@@ -510,6 +511,7 @@ class Abstraction:
         self.table: dict[Term, Term] = {}
         self._var: dict[Term, Term] = {}
         self._vec: dict[tuple[Term, Theory], Mapping[Term, int]] = {}
+        self.spans: dict[Theory, object] = {}  # theory -> elementary's span
 
     def var_for(self, t: Term) -> Term:
         v = self._var.get(t)

@@ -7,8 +7,10 @@ import textwrap
 
 import pytest
 
-from intruder.elementary import ElemWitness, elem_deduce, replay
-from intruder.rewriting import (Theory, ac_theory, ag_theory, empty_theory,
+from oracles import full_solve_int
+from intruder import elementary
+from intruder.elementary import ElemWitness, _solve_int, elem_deduce, replay
+from intruder.rewriting import (Abstraction, Theory, ac_theory, ag_theory, empty_theory,
                                 normalize, xor_theory)
 from intruder.terms import eapp, enc, name, pair, sign
 
@@ -120,6 +122,24 @@ def test_solve_int_checks_exactness_under_optimize():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == ["[2, 3]", "RuntimeError"]
+
+
+def test_solve_int_agrees_with_elimination_over_every_row():
+    # the solution is an ag witness, so it must be exactly the reference's
+    rng = random.Random(35)
+    solved = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 8)
+        rows = [[rng.choice([0, 0, -3, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:  # a target in the lattice
+            x = [rng.randint(-2, 2) for _ in range(n)]
+            b = [sum(c * v for c, v in zip(row, x)) for row in rows]
+        else:
+            b = [rng.randint(-4, 4) for _ in range(m)]
+        got = _solve_int(rows, b)
+        assert got == full_solve_int(rows, b), (rows, b)
+        solved += got is not None
+    assert 100 < solved < 400
 
 
 def test_replay_rejects_malformed_witnesses():
@@ -302,3 +322,85 @@ def test_abstraction_soundness_under_renaming(th):
         w1 = elem_deduce(th, gamma, goal, theories=(th,))
         w2 = elem_deduce(th, gamma2, goal2, theories=(th,))
         assert (w1 is None) == (w2 is None), (gamma, goal)
+
+
+def _ag_term(vec):
+    """The normal-form group sum with the given atom coefficients."""
+    parts = []
+    for atom, n in vec.items():
+        parts.extend([atom if n > 0 else inv(atom)] * abs(n))
+    return normalize(fold("+", parts), (AG,))
+
+
+def _grown_gammas(rng, th, atoms, steps=8):
+    """A Gamma that grows by one or two members a step, with coefficients up
+    to 3 in absolute value under ag.  Halfway it drops its first member,
+    which no span can follow without a rebuild."""
+    gamma: list = []
+    for step in range(steps):
+        if step == steps // 2:
+            gamma = gamma[1:]
+        for _ in range(rng.randint(1, 2)):
+            picked = rng.sample(atoms, rng.randint(1, 3))
+            if th is AG:
+                t = _ag_term({x: rng.choice([-3, -2, -1, 1, 2, 3]) for x in picked})
+            else:
+                t = normalize(fold("+", picked), (XOR,))
+            if t not in (zero, one):
+                gamma.append(t)
+        yield list(gamma)
+
+
+def _goals(rng, th, gamma, atoms, absent):
+    unit = one if th is AG else zero
+    goals = [unit, rng.choice(atoms), fold("+", [rng.choice(atoms), absent])]
+    for _ in range(4):  # combinations of members, so most of these are derivable
+        parts = []
+        for g in rng.sample(gamma, min(len(gamma), 3)):
+            n = rng.choice([-3, -2, -1, 1, 2, 3]) if th is AG else 1
+            parts.extend([g if n > 0 else inv(g)] * abs(n))
+        goals.append(fold("+", parts))
+    return [normalize(t, (th,)) for t in goals]
+
+
+@pytest.mark.parametrize("backend", ["xor", "ag"])
+def test_span_grown_with_gamma_agrees_with_elimination(backend, monkeypatch):
+    # one table follows Gamma as it grows, as in deduce.  Each answer must be
+    # the one elimination alone gives over a table with the same history
+    # (class variables are numbered in the order a table meets aliens, and
+    # an ag witness can depend on that order), and the verdict a fresh table
+    # gives; without aliens, also its witness.
+    th = XOR if backend == "xor" else AG
+    decide = {"xor": elementary._decide_xor, "ag": elementary._decide_ag}[backend]
+    gcd_steps = 0
+    real_xgcd = elementary._xgcd
+
+    def counted_xgcd(x, y):
+        nonlocal gcd_steps
+        gcd_steps += 1
+        return real_xgcd(x, y)
+
+    monkeypatch.setattr(elementary, "_xgcd", counted_xgcd)
+    rng = random.Random(f"span:{backend}")
+    names = [a, b, c, d]
+    aliens = [pair(a, b), enc(b, c)]
+    absent = name("e")
+    answers = set()
+    for i in range(16):
+        atoms = names + aliens if i % 2 else names
+        table, alone_table = Abstraction((th,)), Abstraction((th,))
+        for gamma in _grown_gammas(rng, th, atoms):
+            for goal in _goals(rng, th, gamma, atoms, absent):
+                shared = elem_deduce(th, gamma, goal, table, (th,))
+                alone = decide(th, sorted(set(gamma), key=lambda t: t.key), goal, alone_table)
+                assert shared == alone, (gamma, goal)
+                assert table.table == alone_table.table  # same class variables
+                fresh = elem_deduce(th, gamma, goal, theories=(th,))
+                assert (fresh is None) == (shared is None), (gamma, goal)
+                if atoms is names:
+                    assert fresh == shared, (gamma, goal)
+                answers.add((shared is not None, goal in (zero, one)))
+            assert table.spans[th].members == frozenset(gamma)
+    assert answers == {(True, True), (True, False), (False, False)}
+    if th is AG:
+        assert gcd_steps > 0

@@ -5,7 +5,7 @@ import pytest
 from conftest import assert_structural, deduce_checked, gen_ground, gen_instance
 from oracles import (OracleBoundExceeded, applicable, nd_closure_oracle,
                      rescan_deduce)
-from intruder import engine
+from intruder import elementary, engine
 from intruder.engine import deduce, deducible, right_deduce
 from intruder.proofs import Sequent, find_error
 from intruder.rewriting import make_theories, normalize
@@ -276,3 +276,60 @@ def test_saturation_work_is_linear_on_chains(kind, monkeypatch):
         assert work[n, True] <= 2 * work[n, False], work
     for descending in (False, True):
         assert work[48, descending] <= 2.5 * work[24, descending], work
+
+
+def _xor_keyed_chain(n):
+    """enc(pair(x_(j+1), y_(j+1)), x_j + y_j) for j < n, from x_0 and y_0."""
+    xs = [name(f"x{j:02d}") for j in range(n + 1)]
+    ys = [name(f"y{j:02d}") for j in range(n + 1)]
+    links = [enc(pair(xs[j + 1], ys[j + 1]), plus(xs[j], ys[j])) for j in range(n)]
+    return [xs[0], ys[0]] + links, xs[n]
+
+
+def _ag_keyed_chain(sizes):
+    """Link j's key sums sizes[j] atoms; the intruder holds the first atom
+    and each adjacent sum of key 0, and link j carries those of key j+1."""
+    keys = [[name(f"a{j}{i}") for i in range(m)] for j, m in enumerate(sizes)]
+    pieces = [[ks[0]] + [plus(ks[i], ks[i + 1]) for i in range(len(ks) - 1)] for ks in keys]
+    secret = name("s")
+    known = list(pieces[0])
+    for j, ks in enumerate(keys):
+        payload = secret
+        if j + 1 < len(keys):
+            payload = pieces[j + 1][-1]
+            for p in reversed(pieces[j + 1][:-1]):
+                payload = pair(p, payload)
+        known.append(enc(payload, plus(*ks)))
+    return [normalize(t, AGS) for t in known], secret
+
+
+@pytest.mark.parametrize("theories,chain", [(XORS, _xor_keyed_chain(20)),
+                                            (AGS, _ag_keyed_chain((5, 2, 3, 6)))],
+                         ids=["xor-20", "ag-5x2x3x6"])
+def test_elimination_runs_only_for_witnesses(theories, chain, monkeypatch):
+    # the span answers "no" by itself; elimination runs once per witness
+    solves = hits = 0
+
+    def counting(real):
+        def solve(*args):
+            nonlocal solves
+            solves += 1
+            return real(*args)
+        return solve
+
+    def counted_elem_deduce(th, *args):
+        nonlocal hits
+        w = real_elem_deduce(th, *args)
+        hits += w is not None and th.backend != "empty"
+        return w
+
+    real_elem_deduce = engine.elem_deduce
+    monkeypatch.setattr(elementary, "_solve_gf2", counting(elementary._solve_gf2))
+    monkeypatch.setattr(elementary, "_solve_int", counting(elementary._solve_int))
+    monkeypatch.setattr(engine, "elem_deduce", counted_elem_deduce)
+    gamma, goal = chain
+    d = deduce(gamma, goal, theories)
+    assert d is not None and find_error(d, theories) is None
+    assert hits > 0 and solves == hits
+    monkeypatch.undo()
+    assert d == rescan_deduce(gamma, goal, theories)

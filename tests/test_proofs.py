@@ -432,6 +432,36 @@ def test_dumps_writes_unknown_aux_values_as_json_does():
     assert dumps(back) == text
 
 
+def _dumps_by_json(d):
+    """dumps written with json.dumps, one call per table entry."""
+    fields = []
+    for key, v in to_json(d).items():
+        if isinstance(v, list) and v:
+            v = "[\n    " + ",\n    ".join(map(json.dumps, v)) + "\n  ]"
+        else:
+            v = json.dumps(v)
+        fields.append(f'  "{key}": {v}')
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
+def test_dumps_is_byte_identical_to_a_json_reference():
+    n = 12
+    rs = [name(f"r{n - j:02d}") for j in range(n + 1)]
+    sks = [name(f"s{n - j:02d}") for j in range(n)]
+    gamma = {rs[0]} | {pub(s) for s in sks}
+    gamma |= {sign(blind(rs[j + 1], rs[j]), sks[j]) for j in range(n)}
+    blind_l = deduce(gamma, rs[n], EMPTYS)
+    ags = make_theories(("ag",))
+    ag_l = deduce({plus(a, b), b, enc(c, plus(a, eapp("inv", (b,))))}, c, ags)
+    odd = Derivation("S", "id", Sequent(frozenset({a}), a), (),
+                     {"witness": ElemWitness("empty", "empty", (a,)), "theory": "empty",
+                      "note": 'caf\u00e9 "q" \\ \n', "weight": 0.5, "flags": [True, None],
+                      "nested": {"k": [1, "x", {}], "": -2}})
+    for d in (_doubling_nd_proof(12), blind_l, linear_to_seq(blind_l, EMPTYS), ag_l, odd):
+        assert dumps(d) == _dumps_by_json(d)
+    assert '"entries": [[' in dumps(ag_l) and "-2]" in dumps(ag_l)
+
+
 def test_loads_parses_each_distinct_term_string_once(monkeypatch):
     # a 12-link blind-signature chain whose labels descend in term order
     n = 12
