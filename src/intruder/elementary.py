@@ -264,8 +264,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _combine(p: int, u: Mapping[Term, int], q: int, v: Mapping[Term, int]) -> dict[Term, int]:
-    """p*u + q*v, without zero entries."""
-    out = {x: p * c for x, c in u.items()} if p != 1 else dict(u)
+    """p*u + q*v, without zero entries (u and v have none)."""
+    if p == 1:
+        out = dict(u)
+    else:  # p == 0 when an extended-gcd step keeps none of u
+        out = {x: p * c for x, c in u.items()} if p else {}
     for x, c in v.items():
         n = out.get(x, 0) + q * c
         if n:
@@ -407,15 +410,14 @@ def _solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
     a = [row[:] for row in rows]
     u = [[int(i == j) for j in range(n)] for i in range(n)]  # column transform
 
-    # rows above r are zero from column lead on, so column steps skip them
     def col_sub(j: int, k: int, q: int) -> None:
-        for i in range(r, m):
+        for i in range(m):
             a[i][j] -= q * a[i][k]
         for i in range(n):
             u[i][j] -= q * u[i][k]
 
     def col_swap(j: int, k: int) -> None:
-        for i in range(r, m):
+        for i in range(m):
             a[i][j], a[i][k] = a[i][k], a[i][j]
         for i in range(n):
             u[i][j], u[i][k] = u[i][k], u[i][j]

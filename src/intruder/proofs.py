@@ -823,7 +823,7 @@ def dumps(d: Derivation) -> str:
     return "{\n" + ",\n".join(fields) + "\n}"
 
 
-# Table entries have a fixed shape, so they are written directly: building
+# Context entries have a fixed shape, so they are written directly: building
 # an encoder per entry with _encode costs more than the writing.  The text is
 # what _encode writes.
 
@@ -832,29 +832,7 @@ def _context_entry(c: dict) -> str:
     return f'{{"parent": {parent}, "add": [{", ".join(map(str, c["add"]))}]}}'
 
 
-def _node_entry(n: dict) -> str:
-    aux = ", ".join([f"{_string(k)}: {_aux_value(v)}" for k, v in n["aux"].items()])
-    return (f'{{"system": {_string(n["system"])}, "rule": {_string(n["rule"])}, '
-            f'"context": {n["context"]}, "goal": {n["goal"]}, "aux": {{{aux}}}, '
-            f'"premises": [{", ".join(map(str, n["premises"]))}]}}')
-
-
-def _aux_value(v) -> str:
-    """_encode(v) for the strings, integers, lists and objects aux values
-    are made of (a witness is an object); other values go to _encode."""
-    t = type(v)
-    if t is int:
-        return str(v)
-    if t is str:
-        return _string(v)
-    if t is list:
-        return "[" + ", ".join([_aux_value(x) for x in v]) + "]"
-    if t is dict and all(type(k) is str for k in v):
-        return "{" + ", ".join([f"{_string(k)}: {_aux_value(x)}" for k, x in v.items()]) + "}"
-    return _encode(v)
-
-
-_TABLE_ENTRY = {"terms": _string, "contexts": _context_entry, "nodes": _node_entry}
+_TABLE_ENTRY = {"terms": _string, "contexts": _context_entry, "nodes": _encode}
 
 
 def loads(text: str) -> Derivation:

@@ -24,10 +24,6 @@ form that search reaches.
 walked_variables and recursive_size are the term metadata that the
 ``vars`` and ``size`` slots replaced: a fresh walk of the term on every
 call.
-
-full_solve_int is elementary._solve_int before its column steps skipped
-the rows already eliminated and the swap of a column with itself.  Its
-solution is an ag witness, so the two must agree exactly.
 """
 from __future__ import annotations
 
@@ -108,59 +104,6 @@ def recursive_size(t: Term) -> int:
         return 1
     own = len(t.args) - 1 if t.sym in AC_SYMBOLS and t.kind == EAPP else 1
     return own + sum(recursive_size(a) for a in t.args)
-
-
-def full_solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
-    """An integer solution of A x = b by column elimination over every row."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    a = [row[:] for row in rows]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        for i in range(m):
-            a[i][j] -= q * a[i][k]
-        for i in range(n):
-            u[i][j] -= q * u[i][k]
-
-    def col_swap(j: int, k: int) -> None:
-        for i in range(m):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(n):
-            u[i][j], u[i][k] = u[i][k], u[i][j]
-
-    lead = 0
-    pivots: list[tuple[int, int]] = []
-    for r in range(m):
-        while True:
-            cols = [j for j in range(lead, n) if a[r][j]]
-            if not cols:
-                break
-            col_swap(lead, min(cols, key=lambda j: abs(a[r][j])))
-            done = True
-            for j in range(lead + 1, n):
-                if a[r][j]:
-                    col_sub(j, lead, a[r][j] // a[r][lead])
-                    if a[r][j]:
-                        done = False
-            if done:
-                break
-        if lead < n and a[r][lead]:
-            pivots.append((r, lead))
-            lead += 1
-    y = [0] * n
-    used = set()
-    for r, j in pivots:
-        resid = b[r] - sum(a[r][k] * y[k] for k in used)
-        if resid % a[r][j]:
-            return None
-        y[j] = resid // a[r][j]
-        used.add(j)
-    pivot_rows = {r for r, _ in pivots}
-    for r in range(m):
-        if r not in pivot_rows and sum(a[r][k] * y[k] for k in range(n)) != b[r]:
-            return None
-    return [sum(u[i][j] * y[j] for j in range(n)) for i in range(n)]
 
 
 # --- the saturated subterm set ------------------------------------------------

@@ -7,7 +7,6 @@ import textwrap
 
 import pytest
 
-from oracles import full_solve_int
 from intruder import elementary
 from intruder.elementary import ElemWitness, _solve_int, elem_deduce, replay
 from intruder.rewriting import (Abstraction, Theory, ac_theory, ag_theory, empty_theory,
@@ -122,24 +121,6 @@ def test_solve_int_checks_exactness_under_optimize():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == ["[2, 3]", "RuntimeError"]
-
-
-def test_solve_int_agrees_with_elimination_over_every_row():
-    # the solution is an ag witness, so it must be exactly the reference's
-    rng = random.Random(35)
-    solved = 0
-    for _ in range(400):
-        m, n = rng.randint(1, 7), rng.randint(1, 8)
-        rows = [[rng.choice([0, 0, -3, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(m)]
-        if rng.random() < 0.5:  # a target in the lattice
-            x = [rng.randint(-2, 2) for _ in range(n)]
-            b = [sum(c * v for c, v in zip(row, x)) for row in rows]
-        else:
-            b = [rng.randint(-4, 4) for _ in range(m)]
-        got = _solve_int(rows, b)
-        assert got == full_solve_int(rows, b), (rows, b)
-        solved += got is not None
-    assert 100 < solved < 400
 
 
 def test_replay_rejects_malformed_witnesses():
@@ -363,6 +344,34 @@ def _goals(rng, th, gamma, atoms, absent):
     return [normalize(t, (th,)) for t in goals]
 
 
+def _assert_echelon(span):
+    """Each row is keyed by its leading atom (lowest bit, for xor) and holds
+    no zero coefficient."""
+    for lead, row in span.rows.items():
+        if isinstance(span, elementary._XorSpan):
+            assert row & -row == lead, (lead, row)
+        else:
+            assert min(row, key=lambda t: t.key) == lead, (lead, row)
+            assert all(row.values()), (lead, row)
+
+
+def test_ag_span_grown_one_member_a_call():
+    # 2a+2b meets the row 4a+c: the gcd step keeps none of that row, and
+    # must not keep its c with coefficient 0 either, or a+b then leaves a
+    # row led by c with coefficient 0, and the goal c divides by it
+    table = Abstraction((AG,))
+    gamma = []
+    for vec in ({a: 4, c: 1}, {a: 2, b: 2}, {a: 1, b: 1}):
+        gamma.append(_ag_term(vec))
+        for goal in (c, a, plus(a, b), plus(a, c), plus(b, c)):
+            w = elem_deduce(AG, gamma, goal, table, (AG,))
+            assert w == elementary._decide_ag(AG, sorted(gamma, key=lambda t: t.key),
+                                              goal, Abstraction((AG,))), (gamma, goal)
+            _assert_echelon(table.spans[AG])
+    assert elem_deduce(AG, gamma, c, table, (AG,)) is None
+    assert elem_deduce(AG, gamma, _ag_term({b: -4, c: 1}), table, (AG,)) is not None
+
+
 @pytest.mark.parametrize("backend", ["xor", "ag"])
 def test_span_grown_with_gamma_agrees_with_elimination(backend, monkeypatch):
     # one table follows Gamma as it grows, as in deduce.  Each answer must be
@@ -401,6 +410,7 @@ def test_span_grown_with_gamma_agrees_with_elimination(backend, monkeypatch):
                     assert fresh == shared, (gamma, goal)
                 answers.add((shared is not None, goal in (zero, one)))
             assert table.spans[th].members == frozenset(gamma)
+            _assert_echelon(table.spans[th])
     assert answers == {(True, True), (True, False), (False, False)}
     if th is AG:
         assert gcd_steps > 0
