@@ -386,11 +386,9 @@ def _check_id_s(d: Derivation, theories) -> None:
     if not isinstance(w, ElemWitness):
         _fail("id needs an elementary witness in aux")
     try:
-        value = replay(w, d.conclusion.gamma, theories)
+        replay(w, d.conclusion.gamma, theories, d.conclusion.goal)
     except ValueError as e:
         _fail(f"witness does not replay: {e}")
-    if value is not d.conclusion.goal:
-        _fail(f"witness replays to {value}, not the goal")
 
 
 def _is_factor(a: Term, g: frozenset[Term], m: Term, theories) -> bool:

@@ -21,6 +21,15 @@ def pick(rng, xs):
     return xs[rng.randrange(len(xs))]
 
 
+def holes(w):
+    """The number of holes in an elementary witness's context."""
+    if w.kind == "empty":
+        return 1
+    if w.kind == "xor":
+        return len(w.entries)
+    return sum(abs(c) for _, c in w.entries)
+
+
 def gen_ground(rng, names, theories=(), depth=3, constructors=CONSTRUCTORS):
     """A random ground term over the given names and theory signatures."""
     acs = [th for th in theories if th.ac_symbol]

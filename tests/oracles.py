@@ -24,6 +24,11 @@ form that search reaches.
 walked_variables and recursive_size are the term metadata that the
 ``vars`` and ``size`` slots replaced: a fresh walk of the term on every
 call.
+
+decide_xor and decide_ag are the elementary deciders that the xor and ag
+spans replaced: GF(2) and exact integer elimination over the whole of a
+sorted Gamma on every call (solve_gf2, solve_int), each returning its own
+witness.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from typing import Iterable, Iterator
 
 from intruder.constraints import (ConstraintSystem, Solution, Substitution,
                                   _reductions_at, effective_public, well_formed)
+from intruder.elementary import ElemWitness
 from intruder.engine import _apply_left, _linear_proof, _right, _rules_for
 from intruder.proofs import S_LEFT_RULES, Derivation, Sequent
 from intruder.rewriting import (Abstraction, Theory, as_theories, normalize,
@@ -376,3 +382,141 @@ def exhaustive_solve(s: ConstraintSystem, max_nodes: int = 200_000) -> list[Solu
         for _rule, _i, _n, nxt, delta in exhaustive_successors(current):
             stack.append((nxt, theta.compose(delta)))
     return found
+
+
+# --- elimination from scratch ---------------------------------------------------
+
+
+def decide_xor(theory: Theory, gamma: list[Term], goal: Term,
+               table: Abstraction) -> ElemWitness | None:
+    target = table.vector(goal, theory)
+    if not target:  # the goal is the zero constant
+        if gamma:
+            g = gamma[0]
+            return ElemWitness(theory.name, "xor", (g, g))
+        return None
+    atoms = sorted(set(target) | {a for g in gamma for a in table.vector(g, theory)},
+                   key=lambda t: t.key)
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    masks = []
+    for g in gamma:
+        m = 0
+        for a in table.vector(g, theory):
+            m |= bit[a]
+        masks.append(m)
+    want = 0
+    for a in target:
+        want |= bit[a]
+    combo = solve_gf2(masks, want)
+    if combo is None:
+        return None
+    return ElemWitness(theory.name, "xor", tuple(gamma[i] for i in combo))
+
+
+def solve_gf2(masks: list[int], target: int) -> list[int] | None:
+    """Indices of a subset of masks whose xor equals target, by elimination."""
+    basis: list[tuple[int, int]] = []  # (vector, index-set bitmap)
+    for i, m in enumerate(masks):
+        combo = 1 << i
+        v = m
+        for bv, bc in basis:
+            pivot = bv & -bv
+            if v & pivot:
+                v ^= bv
+                combo ^= bc
+        if v:
+            basis.append((v, combo))
+    v, combo = target, 0
+    for bv, bc in basis:
+        pivot = bv & -bv
+        if v & pivot:
+            v ^= bv
+            combo ^= bc
+    if v:
+        return None
+    return [i for i in range(len(masks)) if combo >> i & 1]
+
+
+def decide_ag(theory: Theory, gamma: list[Term], goal: Term,
+              table: Abstraction) -> ElemWitness | None:
+    target = table.vector(goal, theory)
+    if not target:  # the goal is the group unit
+        if gamma:
+            g = gamma[0]
+            return ElemWitness(theory.name, "ag", ((g, 1), (g, -1)))
+        return None
+    vecs = [table.vector(g, theory) for g in gamma]
+    atoms = sorted(set(target) | {a for v in vecs for a in v}, key=lambda t: t.key)
+    rows = [[v.get(a, 0) for v in vecs] for a in atoms]
+    b = [target.get(a, 0) for a in atoms]
+    coeffs = solve_int(rows, b)
+    if coeffs is None:
+        return None
+    entries = tuple((g, c) for g, c in zip(gamma, coeffs) if c)
+    return ElemWitness(theory.name, "ag", entries)
+
+
+def solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
+    """An integer solution x of A x = b, by column elimination (Hermite style).
+
+    Column operations are accumulated in a unimodular transform so a solution
+    of the triangular system pulls back to the original variables.  Exact
+    integer arithmetic throughout.  Raises RuntimeError if the solution does
+    not satisfy the original system, which would be a bug here.
+    """
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    a = [row[:] for row in rows]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]  # column transform
+
+    def col_sub(j: int, k: int, q: int) -> None:
+        for i in range(m):
+            a[i][j] -= q * a[i][k]
+        for i in range(n):
+            u[i][j] -= q * u[i][k]
+
+    def col_swap(j: int, k: int) -> None:
+        for i in range(m):
+            a[i][j], a[i][k] = a[i][k], a[i][j]
+        for i in range(n):
+            u[i][j], u[i][k] = u[i][k], u[i][j]
+
+    lead = 0
+    pivots: list[tuple[int, int]] = []
+    for r in range(m):
+        while True:
+            cols = [j for j in range(lead, n) if a[r][j]]
+            if not cols:
+                break
+            j0 = min(cols, key=lambda j: abs(a[r][j]))
+            if j0 != lead:
+                col_swap(lead, j0)
+            done = True
+            for j in range(lead + 1, n):
+                if a[r][j]:
+                    col_sub(j, lead, a[r][j] // a[r][lead])
+                    if a[r][j]:
+                        done = False
+            if done:
+                break
+        if lead < n and a[r][lead]:
+            pivots.append((r, lead))
+            lead += 1
+    y = [0] * n
+    used = set()
+    for r, j in pivots:
+        resid = b[r] - sum(a[r][k] * y[k] for k in used)
+        if resid % a[r][j]:
+            return None
+        y[j] = resid // a[r][j]
+        used.add(j)
+    # rows without a pivot must be consistent
+    pivot_rows = {r for r, _ in pivots}
+    for r in range(m):
+        if r not in pivot_rows and sum(a[r][k] * y[k] for k in range(n)) != b[r]:
+            return None
+    x = [sum(u[i][j] * y[j] for j in range(n)) for i in range(n)]
+    for r in range(m):  # exactness check is cheap at this scale
+        if sum(rows[r][i] * x[i] for i in range(n)) != b[r]:
+            raise RuntimeError("integer elimination returned an inexact solution")
+    return x

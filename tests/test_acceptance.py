@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import (GroundOracle, assert_structural, deduce_checked,
-                      gen_instance, gen_wf_system, ground_universe)
+                      gen_instance, gen_wf_system, ground_universe, holes)
 from oracles import OracleBoundExceeded, nd_closure_oracle
 from test_elementary import ag_brute, gen_elem_instance, xor_brute
 from intruder.constraints import (PROPER, RIGHT, Constraint, extract_solution,
@@ -55,7 +55,7 @@ def test_criterion_01(capsys):
         assert leaf.rule == "r"
         w = leaf.aux["right"].aux["witness"]
         assert dict(w.entries) == {pair(a, b): 1, a: 1}
-        assert w.holes() == 2  # the context is one hole plus another
+        assert holes(w) == 2  # the context is one hole plus another
         assert time.monotonic() - t0 < 1.0
 
 

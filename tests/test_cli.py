@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -401,6 +402,62 @@ def test_malformed_proof_shapes_are_input_errors(tmp_path, theory, path, value):
         assert out.stdout == ""
         assert out.stderr.startswith("error: malformed proof object:"), out.stderr
         assert "Traceback" not in out.stderr
+
+
+def _capped_cli(*argv, stdin=None, timeout=30):
+    """Run the CLI with its address space capped at 1 GiB, so a witness that
+    is spelled out hole by hole fails at once instead of filling memory."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "intruder.cli", *argv], input=stdin,
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=cap)
+
+
+# a dependent group context whose witnesses have coefficients in the millions
+# or more: a checker that folds each hole took 49 s on it
+AG_DEPENDENT_PROBLEM = """theory: ag
+knows: a3+a3+a3+a4+inv(a0)+inv(a0)+inv(a0), a2+a2+a4+a4+a4+inv(a3)+inv(a3)
+knows: inv(a4)+inv(a4), a2+inv(a0)+inv(a0)+inv(a0)+inv(a4)+inv(a4)+inv(a4)
+knows: a0+a2+a2+a2+inv(a4)+inv(a4), a0+a0+a0+inv(a1)+inv(a3)+inv(a3)+inv(a3)
+knows: a0+a0+a2+a2+a2+inv(a1)+inv(a1)+inv(a1), a2+a3+a3+a3+inv(a1)+inv(a1)
+goal: a1+a1+inv(a3)
+"""
+
+
+def test_deduce_on_a_dependent_ag_context_is_fast(tmp_path):
+    problem = write(tmp_path, AG_DEPENDENT_PROBLEM)
+    t0 = time.monotonic()
+    proof = _capped_cli("deduce", "--input", problem, "--emit-proof", "json")
+    elapsed = time.monotonic() - t0
+    assert proof.returncode == 0, proof.stderr
+    assert elapsed < 2.0, elapsed
+    checked = _capped_cli("check", "--proof", "-", "--theory", "ag", stdin=proof.stdout)
+    assert checked.returncode == 0, checked.stderr
+
+
+def _ag_id_proof(entries):
+    """The L proof of a from {a, a+a} by one r step, with the given witness."""
+    witness = {"theory": "ag", "kind": "ag", "entries": entries}
+    return json.dumps({
+        "system": "L", "version": 2, "terms": ["a", "a+a"],
+        "contexts": [{"parent": None, "add": [0, 1]}],
+        "nodes": [{"system": "S", "rule": "id", "context": 0, "goal": 0,
+                   "aux": {"witness": witness, "theory": "ag"}, "premises": []},
+                  {"system": "L", "rule": "r", "context": 0, "goal": 0,
+                   "aux": {"right": 0}, "premises": []}],
+        "root": 1})
+
+
+@pytest.mark.parametrize("entries,rc", [([[0, 2 * 10 ** 9 + 1], [1, -10 ** 9]], 0),
+                                        ([[0, 10 ** 9]], 1)], ids=["cancels", "a-billion-a"])
+def test_check_huge_ag_coefficients_in_bounded_memory(entries, rc):
+    out = _capped_cli("check", "--proof", "-", "--theory", "ag", stdin=_ag_id_proof(entries))
+    assert out.returncode == rc, out.stderr
+    assert out.stdout.startswith("valid" if rc == 0 else "invalid"), out.stdout
 
 
 def test_main_calls_share_no_parsed_values(monkeypatch, capsys):

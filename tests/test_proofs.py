@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import gen_instance
+from conftest import gen_instance, holes
 from oracles import left_rule_count, sequents_of
 from intruder import proofs
 from intruder.elementary import ElemWitness
@@ -214,7 +214,7 @@ def test_nd_to_seq_xor_fold():
     assert len(cuts) == 2
     leaves = [d for d in _nodes(out) if d.rule == "id" and d.aux["witness"].kind == "xor"]
     assert len(leaves) == 1
-    assert leaves[0].aux["witness"].holes() == 2  # the context hole + hole
+    assert holes(leaves[0].aux["witness"]) == 2  # the context hole + hole
     assert set(leaves[0].aux["witness"].entries) == {a, b}
 
 
