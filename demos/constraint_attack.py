@@ -62,12 +62,21 @@ def main():
         a, enc(n, pair(b, a)) |- n
     """)
 
-    # the response pair(?y, k) can be unified against either recorded pair,
-    # binding ?y differently, or assembled from projected parts with ?y free
+    # the solver splits the recorded pairs before anything else, so the
+    # response pair(?y, k) is assembled from their parts: one most general
+    # solved form leaves ?y free, and both ?y := a and ?y := b instantiate it
     run("Every attack, enumerated", """
         public a
         a, b |-R ?y
         a, b, pair(a, k), pair(b, k) |- pair(?y, k)
+    """, all_solutions=True)
+
+    # under |-R the pairs cannot be split: the response must be one of the
+    # recorded pairs, and each binds ?y differently
+    run("Every attack, pairs kept whole", """
+        public a
+        a, b |-R ?y
+        a, b, pair(a, k), pair(b, k) |-R pair(?y, k)
     """, all_solutions=True)
 
     # a variable occurring in knowledge before any goal introduces it has no

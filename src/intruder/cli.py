@@ -148,12 +148,9 @@ def cmd_constraints(args) -> int:
         system = cstr.parse_constraint_file(_read(args.input))
     except (ParseError, ValueError) as e:
         raise InputError(str(e)) from None
-    problems = cstr.well_formed(system)
-    if problems:
-        raise InputError("not well formed: " + "; ".join(problems))
     try:
         solutions = cstr.solve(system, all_solutions=args.all_solutions)
-    except ValueError as e:
+    except ValueError as e:  # the system is not well formed
         raise InputError(str(e)) from None
     grounds = []
     for i, sol in enumerate(solutions):

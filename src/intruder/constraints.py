@@ -8,6 +8,12 @@ variables, terminating because a lexicographic measure drops at every step;
 systems whose constraints are all right constraints with variable goals are
 solved, and any assignment of deducible values to those variables (the
 public name is always one) yields a solution.
+
+solve searches only the edges it needs: it reduces the first unsolved
+constraint, splits known pairs at once and in one order, and skips C1 on a
+variable member whose value the rest of the knowledge already rebuilds
+(_reductions_at gives the argument). Every solution is still an instance of
+a solved form it returns.
 """
 from __future__ import annotations
 
@@ -365,7 +371,8 @@ def successors(s: ConstraintSystem):
     Only the first constraint that is not solved is reduced. Which constraint
     to reduce is a don't-care choice (Millen and Shmatikov, CCS 2001): every
     solution stays an instance of a solved form reachable this way, so only
-    the choice of rule needs search.
+    the choice of rule needs search, and _reductions_at prunes that choice
+    too. Every edge is still one of C1 to C5 as _apply defines them.
     """
     for i, c in enumerate(s.constraints):
         if not c.is_solved():
@@ -374,24 +381,69 @@ def successors(s: ConstraintSystem):
 
 
 def _reductions_at(s: ConstraintSystem, i: int):
-    """Every edge that reduces constraint i, in a fixed rule order."""
-    members = sorted(s.constraints[i].sigma, key=lambda t: t.key)
+    """The edges needed to reduce constraint i, the first unsolved one.
+
+    A proper constraint with a known pair has one edge: C4 on its least pair.
+    Pair-left is invertible: Sigma, pair(u, v) |- M holds under a
+    substitution iff Sigma, u, v |- M does, so splitting first loses no
+    solution and the order of the splits need not be searched. Any other
+    proper constraint relaxes by C3 or decrypts one ciphertext by C5.
+
+    A right constraint with a non-variable goal M closes by C1 on a member or
+    splits by C2. C1 is skipped on a variable member ?x that the context
+    rebuilds: every knowledge term of the constraint introducing ?x (the
+    first one with goal ?x, which is solved since it comes before i) is
+    composed by pair and enc from the members other than ?x. A solution
+    theta on that branch is then covered by another. Call the unskipped
+    members N. For a skipped ?x, theta satisfies the introducer, a right
+    constraint, so ?x theta is synthesizable from the introducer's
+    knowledge, and so from the instances of the leaves that compose it. Those leaves are subterms of the introducer's knowledge, so
+    a variable among them was introduced by an earlier constraint, and by
+    induction on that index every leaf instance, and ?x theta itself, is
+    synthesizable from N theta. Hence so is M theta: either it is some
+    u theta with u in N, covered by C1 on u, or it is composed, and the
+    non-variable M has the same head, covered by C2.
+    """
+    c = s.constraints[i]
+    members = sorted(c.sigma, key=lambda t: t.key)
+    if c.kind == PROPER:
+        pairs = [n for n in members if n.kind == CAPP and n.sym == "pair"]
+        if pairs:
+            steps = [("C4", pairs[0])]
+        else:
+            steps = [("C3", None)] + [("C5", n) for n in members
+                                      if n.kind == CAPP and n.sym == "enc"]
+    else:
+        g = c.goal
+        steps = [("C1", n) for n in members
+                 if (n.kind == g.kind and n.sym == g.sym)
+                 or (n.kind == VAR and not _rebuilt(s, i, n))]
+        if g.kind == CAPP and g.sym in _SPLITTABLE:
+            steps.append(("C2", None))
     parent = (system_measure(s), _originating(s))
-    for n in members:
-        hit = _apply(s, "C1", i, n, *parent)
+    for rule, n in steps:
+        hit = _apply(s, rule, i, n, *parent)
         if hit is not None:
-            yield ("C1", i, n) + hit
-    hit = _apply(s, "C2", i, None, *parent)
-    if hit is not None:
-        yield ("C2", i, None) + hit
-    hit = _apply(s, "C3", i, None, *parent)
-    if hit is not None:
-        yield ("C3", i, None) + hit
-    for n in members:
-        for rule in ("C4", "C5"):
-            hit = _apply(s, rule, i, n, *parent)
-            if hit is not None:
-                yield (rule, i, n) + hit
+            yield (rule, i, n) + hit
+
+
+def _rebuilt(s: ConstraintSystem, i: int, x: Term) -> bool:
+    """Whether constraint i's other members compose every knowledge term of
+    the constraint that introduces variable x."""
+    intro = next((c for c in s.constraints[:i] if c.goal is x), None)
+    if intro is None:
+        return False
+    rest = s.constraints[i].sigma - {x}
+    for t in intro.sigma:
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if u in rest:
+                continue
+            if u.kind != CAPP or u.sym not in _SPLITTABLE:
+                return False
+            stack.extend(u.args)
+    return True
 
 
 # --- search ---------------------------------------------------------------------------
@@ -416,13 +468,14 @@ def solve(s: ConstraintSystem, all_solutions: bool = False,
     solution of s is then an instance of one of them. Visited states are
     deduplicated, since different rule sequences can reach the same system.
     The search is depth first on an explicit stack, so a long reduction path
-    does not hit the interpreter's recursion limit. More than max_nodes
-    states raises RuntimeError. on_edge, if given, is called with (parent,
-    rule, substitution, child) for every reduction edge explored.
+    does not hit the interpreter's recursion limit. A system that is not
+    well formed raises ValueError naming the violated conditions; more than
+    max_nodes states raises RuntimeError. on_edge, if given, is called with
+    (parent, rule, substitution, child) for every reduction edge explored.
     """
     problems = well_formed(s)
     if problems:
-        raise ValueError("; ".join(problems))
+        raise ValueError("not well formed: " + "; ".join(problems))
     pub = effective_public(s)
     orig_vars = s.variables()
 

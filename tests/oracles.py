@@ -14,12 +14,13 @@ left_rule_count and sequents_of measure a derivation for the structural
 bounds in conftest.assert_structural.
 
 exhaustive_successors, step and exhaustive_solve are the constraint search
-that constraints.successors and solve replaced: every constraint is reduced,
-not only the first unsolved one, so every interleaving of commuting
-reductions is explored.  step lists all one-step reducts of a system and
-asserts that each child of a well-formed system is well formed, so every
-rule at every index stays checked; exhaustive_solve returns every solved
-form that search reaches.
+that constraints.successors and solve replaced: every rule is tried at every
+member of every constraint (full_reductions_at), not only the edges that
+solve needs at the first unsolved one, so every interleaving of commuting
+reductions and every C1 binding is explored.  step lists all one-step
+reducts of a system and asserts that each child of a well-formed system is
+well formed, so every rule at every index stays checked; exhaustive_solve
+returns every solved form that search reaches.
 
 walked_variables and recursive_size are the term metadata that the
 ``vars`` and ``size`` slots replaced: a fresh walk of the term on every
@@ -36,8 +37,9 @@ import itertools
 from random import Random
 from typing import Iterable, Iterator
 
-from intruder.constraints import (ConstraintSystem, Solution, Substitution,
-                                  _reductions_at, effective_public, well_formed)
+from intruder.constraints import (ConstraintSystem, Solution, Substitution, _apply,
+                                  _originating, effective_public, system_measure,
+                                  well_formed)
 from intruder.elementary import ElemWitness
 from intruder.engine import _apply_left, _linear_proof, _right, _rules_for
 from intruder.proofs import S_LEFT_RULES, Derivation, Sequent
@@ -336,10 +338,32 @@ def _equational_step(known: set[Term], targets: frozenset[Term], th: Theory,
 # --- exhaustive constraint search ---------------------------------------------
 
 
+def full_reductions_at(s: ConstraintSystem, i: int):
+    """Every edge of the full calculus that reduces constraint i: each rule
+    tried at each member, in a fixed rule order, with none of the cuts of
+    constraints._reductions_at."""
+    members = sorted(s.constraints[i].sigma, key=lambda t: t.key)
+    parent = (system_measure(s), _originating(s))
+    for n in members:
+        hit = _apply(s, "C1", i, n, *parent)
+        if hit is not None:
+            yield ("C1", i, n) + hit
+    for rule in ("C2", "C3"):
+        hit = _apply(s, rule, i, None, *parent)
+        if hit is not None:
+            yield (rule, i, None) + hit
+    for n in members:
+        for rule in ("C4", "C5"):
+            hit = _apply(s, rule, i, n, *parent)
+            if hit is not None:
+                yield (rule, i, n) + hit
+
+
 def exhaustive_successors(s: ConstraintSystem):
-    """The reduction edges of every constraint, solved or not, in index order."""
+    """The full calculus's reduction edges of every constraint, solved or
+    not, in index order."""
     for i in range(len(s.constraints)):
-        yield from _reductions_at(s, i)
+        yield from full_reductions_at(s, i)
 
 
 def step(s: ConstraintSystem) -> list[tuple[str, Substitution, ConstraintSystem]]:

@@ -242,19 +242,38 @@ def test_constraints_parse_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def test_constraints_all_solutions(tmp_path, capsys):
-    path = write(tmp_path,
-                 "public a\na, b |-R ?x\na, b, pair(a, k), pair(b, k) |- pair(?x, k)\n")
-    rc = cli.main(["constraints", "--input", path, "--all-solutions",
+ALL_SOLUTIONS_PROBLEM = "public a\na, b |-R ?x\na, b, pair(a, k), pair(b, k) {} pair(?x, k)\n"
+
+
+def _all_solutions(tmp_path, capsys, turnstile):
+    text = ALL_SOLUTIONS_PROBLEM.format(turnstile)
+    rc = cli.main(["constraints", "--input", write(tmp_path, text), "--all-solutions",
                    "--emit", "json"])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["satisfiable"] is True
-    substs = [s["subst"] for s in data["solutions"]]
-    grounds = [s["ground"]["?x"] for s in data["solutions"]]
-    # unifying the goal against either known pair binds ?x differently
-    assert {"?x": "a"} in substs and {"?x": "b"} in substs
-    assert set(grounds) == {"a", "b"}
+    return constraints.parse_constraint_file(text), data["solutions"]
+
+
+def test_constraints_all_solutions(tmp_path, capsys):
+    # the known pairs are split before anything else, so the goal is built
+    # from their parts and one most general form leaves ?x free
+    system, solutions = _all_solutions(tmp_path, capsys, "|-")
+    assert [s["subst"] for s in solutions] == [{}]
+    assert solutions[0]["ground"] == {"?x": "a"}
+    x = parse_term("?x")
+    for value in ("a", "b"):
+        ground = constraints.Substitution.of({x: parse_term(value)})
+        assert constraints.verify_solution(system, ground), value
+
+
+def test_constraints_all_solutions_right_goal(tmp_path, capsys):
+    # under |-R the pairs stay whole: unifying the goal against either one
+    # binds ?x differently (the CLI verifies each ground instance itself)
+    _system, solutions = _all_solutions(tmp_path, capsys, "|-R")
+    substs = [s["subst"] for s in solutions]
+    assert sorted(substs, key=str) == [{"?x": "a"}, {"?x": "b"}]
+    assert sorted(s["ground"]["?x"] for s in solutions) == ["a", "b"]
 
 
 @pytest.mark.parametrize("data,rc,first_line", [

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import GroundOracle, gen_wf_system, ground_universe, instrumented_solve
 from oracles import exhaustive_solve, step
-from test_acceptance import NAMES_DESK, desk_systems
+from test_acceptance import NAMES_DESK, X, Y, _desk_terms, desk_systems
 from intruder import constraints
-from intruder.constraints import (Constraint, RULES, Substitution,
+from intruder.constraints import (PROPER, RIGHT, Constraint, RULES, Substitution,
                                   constraint_measure, extract_solution,
                                   measure_less, mgu, parse_constraint_file,
                                   parse_constraint_line, proper, right,
@@ -343,3 +343,88 @@ def test_reductions_measure_the_parent_once(monkeypatch):
     assert len(children) == 2
     assert len(calls) == len(children) + 1
     assert [s for s in calls if s is root] == [root]
+
+
+# --- the cuts of the production search ---------------------------------------------
+
+# satisfiable only with ?x := b and ?x := a respectively: C1 must unify the
+# goal with the variable member, because the first constraint may decompose
+# its knowledge to choose ?x and the |-R constraint may not
+C1_ON_VARIABLE = (
+    "public a\na, pair(a, b) |- ?x\na, ?x, pair(a, b) |-R b\n",
+    "public c\nc, enc(a, c) |- ?x\nc, enc(a, c), ?x |-R a\n",
+)
+
+
+@pytest.mark.parametrize("text", C1_ON_VARIABLE)
+def test_c1_binds_a_variable_member_the_context_cannot_rebuild(text):
+    s = parse_constraint_file(text)
+    sols = instrumented_solve(s)
+    assert sols, s
+    ground = extract_solution(sols[0].subst, s)
+    assert verify_solution(s, ground), ground
+
+
+def _chosen_value_systems(stride):
+    """The family k0 sigma |- ?x ; k1 sigma + {?x} |- g over the desk-scale
+    knowledge sets and goals, every stride-th member, plus the systems of
+    C1_ON_VARIABLE."""
+    ground = _desk_terms(())
+    sigmas = [frozenset({n}) for n in NAMES_DESK] + \
+             [frozenset({n, t}) for n in NAMES_DESK for t in ground if t is not n]
+    family = [system(Constraint(k0, sigma, X), Constraint(k1, sigma | {X}, g))
+              for k0 in (PROPER, RIGHT) for k1 in (PROPER, RIGHT)
+              for sigma in sigmas for g in _desk_terms((X, Y))]
+    assert len(family) == 13_860
+    return family[::stride] + [parse_constraint_file(t) for t in C1_ON_VARIABLE]
+
+
+def test_chosen_value_family_agrees_with_ground_enumeration():
+    # the family where a later constraint may need the value an earlier
+    # one chose; cutting C1 on variable members outright answers
+    # "unsatisfiable" for 450 of its satisfiable systems
+    oracle = GroundOracle()
+    universe = ground_universe(NAMES_DESK)
+    satisfiable = 0
+    for s in _chosen_value_systems(stride=5):
+        got = bool(solve(s))
+        assert got == oracle.satisfiable(s, universe), s
+        satisfiable += got
+    assert satisfiable > 100
+
+
+def _session(steps, satisfiable):
+    """The intruder picks ?x_j, the server answers enc(n_j, pair(?x_j, n_{j-1})),
+    and the last constraint asks for the final nonce. Unsatisfiable: the last
+    answer is keyed with the private name b instead of ?x_j."""
+    pub = name("a")
+    known, items, prev = [pub], [], pub
+    for j in range(steps):
+        xj = var(f"x{j}")
+        items.append(right(known, xj))
+        half = xj if satisfiable or j < steps - 1 else b
+        known = known + [enc(name(f"n{j}"), pair(half, prev))]
+        prev = name(f"n{j}")
+    items.append(proper(known, prev))
+    return system(*items, public_name=pub)
+
+
+def test_session_search_grows_slowly():
+    # the full calculus took 79, 409, 2,479 and 17,473 edges to refute the
+    # sessions of 3 to 6 steps, splitting pairs and binding chosen values in
+    # every order
+    def edges(s):
+        record = []
+        sols = instrumented_solve(s, record=record)
+        return sols, len(record)
+
+    counts = {}
+    for steps in (4, 6, 8):
+        sols, counts[steps] = edges(_session(steps, False))
+        assert sols == []
+    assert counts[8] < 150, counts
+    assert counts[4] < counts[6] < counts[8]
+    s = _session(8, True)
+    sols, n = edges(s)
+    assert sols and n < 150
+    assert verify_solution(s, extract_solution(sols[0].subst, s))
