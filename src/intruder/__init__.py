@@ -9,7 +9,7 @@ from .rewriting import (Theory, RewriteRule, NormalizationBudgetExceeded,
                         match_mod_ac, one_step_rewrites, Abstraction, abstract)
 from .elementary import ElemWitness, elem_deduce, replay
 from .engine import deduce, deducible, right_deduce
-from .proofs import (Derivation, Sequent, check, find_error, weaken,
+from .proofs import (Derivation, Sequent, check, find_error,
                      is_normal_derivation, linear_to_seq, nd_to_seq, seq_to_nd,
                      to_json, from_json, dumps, loads, render_text)
 from .constraints import (Constraint, ConstraintSystem, Substitution, Solution,

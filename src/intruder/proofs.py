@@ -29,9 +29,6 @@ class Sequent:
         left = ", ".join(format_term(t) for t in sorted(self.gamma, key=lambda u: u.key))
         return f"{left} |- {format_term(self.goal)}"
 
-    def with_extra(self, extra: Iterable[Term]) -> Sequent:
-        return Sequent(self.gamma | frozenset(extra), self.goal)
-
 
 @dataclass
 class Derivation:
@@ -40,9 +37,6 @@ class Derivation:
     conclusion: Sequent
     premises: tuple[Derivation, ...] = ()
     aux: dict = field(default_factory=dict)
-
-    def height(self) -> int:
-        return 1 + max((p.height() for p in self.premises), default=0)
 
 
 N_RULES = {"id", "e_E", "e_I", "p_E", "p_I", "sign_E", "sign_I",
@@ -403,75 +397,60 @@ def is_normal_derivation(d: Derivation) -> bool:
     """Both normal-form conditions on a cut-free S derivation.
 
     No left rule may occur above a right rule, and no left rule may end the
-    first premise of a branching left rule.
+    first premise of a branching left rule.  The walk keeps its own stack
+    and visits each distinct node once per side of the first right rule.
     """
     if d.system != "S":
         return False
-
-    def no_left(node: Derivation) -> bool:
-        if node.rule in S_LEFT_RULES or node.rule == "cut":
+    # (node, whether a right rule or id lies below it)
+    stack = [(d, False)]
+    seen: set[tuple[int, bool]] = set()
+    while stack:
+        node, above_right = stack.pop()
+        key = (id(node), above_right)
+        if key in seen:
+            continue
+        seen.add(key)
+        rule = node.rule
+        if rule == "cut" or (above_right and rule in S_LEFT_RULES):
             return False
-        return all(no_left(p) for p in node.premises)
-
-    def walk(node: Derivation) -> bool:
-        if node.rule == "cut":
+        if rule == "id" or rule in S_RIGHT_RULES:
+            above_right = True
+        elif rule in S_BRANCHING_LEFT and node.premises[0].rule in S_LEFT_RULES:
             return False
-        if node.rule == "id" or node.rule in S_RIGHT_RULES:
-            return no_left(node)
-        if node.rule in S_BRANCHING_LEFT:
-            if node.premises[0].rule in S_LEFT_RULES:
-                return False
-        return all(walk(p) for p in node.premises)
-
-    return walk(d)
-
-
-# --- weakening ----------------------------------------------------------------
-
-
-def weaken(d: Derivation, extra: Iterable[Term]) -> Derivation:
-    """The same derivation over Gamma extended with extra terms (same height)."""
-    extra = frozenset(extra)
-    if not extra:
-        return d
-    return _weaken(d, extra, {})
-
-
-def _weaken(d: Derivation, extra: frozenset[Term], memo: dict[int, Derivation]) -> Derivation:
-    # memo maps each node weakened so far (by identity) to its result, so a
-    # proof that shares subtrees costs its nodes, not its paths
-    out = memo.get(id(d))
-    if out is None:
-        aux = dict(d.aux)
-        emb = aux.get("right")
-        if isinstance(emb, Derivation):
-            aux["right"] = _weaken(emb, extra, memo)
-        out = memo[id(d)] = Derivation(
-            d.system, d.rule, d.conclusion.with_extra(extra),
-            tuple([_weaken(p, extra, memo) for p in d.premises]), aux)
-    return out
+        stack.extend((p, above_right) for p in node.premises)
+    return True
 
 
 # --- translations --------------------------------------------------------------
 
 
-def _shared(d: Derivation) -> dict[int, None]:
-    """A memo with an empty slot for each node below d that is the premise
-    of more than one node, or twice of one: a translation fills the slot
-    with the node's result the first time, so a proof that shares subtrees
-    costs its nodes, not its paths, and an unshared node's result is not
-    kept once its parent has used it."""
-    seen: set[int] = set()
-    memo: dict[int, None] = {}
-    stack = [d]
-    while stack:
-        for p in stack.pop().premises:
-            if id(p) in seen:
-                memo[id(p)] = None
-            else:
-                seen.add(id(p))
-                stack.append(p)
-    return memo
+def _unfold(step, node: Derivation, where):
+    """Run a translation on an explicit stack, so its depth is not bounded
+    by the recursion limit.
+
+    step(node, where) is a generator: it yields each (premise, where) pair
+    whose translation it needs, is sent that translation back, and returns
+    its own.  Each pair is translated once, keyed by the node's identity, so
+    a proof that shares subtrees costs its nodes, not its paths.
+    """
+    memo: dict[tuple[int, object], Derivation] = {}
+    frames = [((id(node), where), step(node, where))]
+    value = None
+    while True:
+        key, gen = frames[-1]
+        try:
+            node, where = gen.send(value)
+        except StopIteration as done:
+            value = memo[key] = done.value
+            frames.pop()
+            if not frames:
+                return value
+            continue
+        key = (id(node), where)
+        value = memo.get(key)
+        if value is None:
+            frames.append((key, step(node, where)))
 
 
 def linear_to_seq(d: Derivation, theories) -> Derivation:
@@ -480,19 +459,38 @@ def linear_to_seq(d: Derivation, theories) -> Derivation:
     Each side condition becomes the right proof its node carries; a node
     without one raises ValueError.
     """
-    if d.system != "L":
-        raise ValueError("linear_to_seq expects an L derivation")
-    g, m = d.conclusion.gamma, d.conclusion.goal
+    chain = [d]
+    seen: set[int] = set()
+    while True:
+        node = chain[-1]
+        if node.system != "L":
+            raise ValueError("linear_to_seq expects an L derivation")
+        if id(node) in seen:
+            raise ValueError("the derivation is its own premise (a cycle)")
+        seen.add(id(node))
+        if node.rule == "r":
+            break
+        if not node.premises:
+            raise ValueError(f"L rule {node.rule} needs a premise")
+        chain.append(node.premises[0])
+    last = chain.pop()
+    out = _right_proof(last, last.conclusion.goal)
+    for node in reversed(chain):
+        out = _linear_step(node, out)
+    return out
 
-    def right_proof(goal: Term) -> Derivation:
-        emb = d.aux.get("right")
-        if not (isinstance(emb, Derivation) and emb.conclusion == Sequent(g, goal)):
-            raise ValueError(f"L rule {d.rule} carries no right proof of {goal}")
-        return emb
 
-    if d.rule == "r":
-        return right_proof(m)
-    cont = linear_to_seq(d.premises[0], theories)
+def _right_proof(d: Derivation, goal: Term) -> Derivation:
+    """The right proof of goal that the L node d carries."""
+    g = d.conclusion.gamma
+    emb = d.aux.get("right")
+    if not (isinstance(emb, Derivation) and emb.conclusion == Sequent(g, goal)):
+        raise ValueError(f"L rule {d.rule} carries no right proof of {goal}")
+    return emb
+
+
+def _linear_step(d: Derivation, cont: Derivation) -> Derivation:
+    """The S node for the L left rule d, whose continuation reads as cont."""
     aux = {k: v for k, v in d.aux.items() if k in ("principal", "theory")}
     if d.rule == "lp":
         return Derivation("S", "p_L", d.conclusion, (cont,), aux)
@@ -500,34 +498,37 @@ def linear_to_seq(d: Derivation, theories) -> Derivation:
         return Derivation("S", "sign_L", d.conclusion, (cont,), aux)
     if d.rule == "le":
         key = d.aux["principal"].args[1]
-        return Derivation("S", "e_L", d.conclusion, (right_proof(key), cont), aux)
+        return Derivation("S", "e_L", d.conclusion, (_right_proof(d, key), cont), aux)
     if d.rule == "blind1":
         factor = d.aux["principal"].args[1]
-        return Derivation("S", "blind_L1", d.conclusion, (right_proof(factor), cont), aux)
+        return Derivation("S", "blind_L1", d.conclusion, (_right_proof(d, factor), cont), aux)
     if d.rule == "blind2":
         factor = d.aux["principal"].args[0].args[1]
-        return Derivation("S", "blind_L2", d.conclusion, (right_proof(factor), cont), aux)
+        return Derivation("S", "blind_L2", d.conclusion, (_right_proof(d, factor), cont), aux)
     if d.rule == "ls":
         a = d.aux["principal"]
         aux = {"abstracted": a}
         if "theory" in d.aux:
             aux["theory"] = d.aux["theory"]
-        return Derivation("S", "acut", d.conclusion, (right_proof(a), cont), aux)
+        return Derivation("S", "acut", d.conclusion, (_right_proof(d, a), cont), aux)
     raise ValueError(f"unknown L rule {d.rule!r}")
 
 
 def nd_to_seq(d: Derivation, theories) -> Derivation:
-    """Translate a checked N derivation into S, introducing cuts as needed."""
+    """Translate a checked N derivation into S, introducing cuts as needed.
+
+    Every N node shares the root's Gamma, which is normalized once.  Each
+    premise is translated directly over the S context where its result is
+    used: Gamma plus the principal for the key, public-key and factor
+    premises of an elimination, and Gamma plus the goals of the earlier
+    premises for those of an f_I fold.
+    """
     theories = as_theories(theories)
     err = find_error(d, theories)
     if err is not None:
         raise ValueError(f"input proof is invalid: {err}")
-    return _n2s(d, theories, _shared(d))
-
-
-def _norm_sequent(s: Sequent, theories) -> Sequent:
-    return Sequent(frozenset(normalize(t, theories) for t in s.gamma),
-                   normalize(s.goal, theories))
+    gamma = frozenset(normalize(t, theories) for t in d.conclusion.gamma)
+    return _unfold(lambda node, g: _n2s(node, g, theories), d, gamma)
 
 
 def _member_witness(goal: Term, theories) -> ElemWitness:
@@ -544,97 +545,69 @@ def _cut(left: Derivation, right: Derivation) -> Derivation:
     return Derivation("S", "cut", Sequent(g, right.conclusion.goal), (left, right))
 
 
-def _n2s(d: Derivation, theories, memo: dict) -> Derivation:
-    """The S translation of d, made once if d is shared (see _shared)."""
-    out = memo.get(id(d))
-    if out is None:
-        out = _n2s_node(d, theories, memo)
-        if id(d) in memo:
-            memo[id(d)] = out
-    return out
-
-
-def _n2s_node(d: Derivation, theories, memo: dict) -> Derivation:
-    conc = _norm_sequent(d.conclusion, theories)
-    g, m = conc.gamma, conc.goal
+def _n2s(d: Derivation, g: frozenset[Term], theories):
+    """The S translation of d over Gamma g, as a step for _unfold."""
+    m = normalize(d.conclusion.goal, theories)
     rule = d.rule
     if rule == "id":
         return _id_node(g, m, theories)
     if rule == "approx":
-        return _n2s(d.premises[0], theories, memo)
+        return (yield d.premises[0], g)
     if rule in ("p_I", "e_I", "sign_I", "blind_I"):
-        left = _n2s(d.premises[0], theories, memo)
-        right = _n2s(d.premises[1], theories, memo)
-        return Derivation("S", _RIGHT_FOR[m.sym], conc, (left, right))
+        left = yield d.premises[0], g
+        right = yield d.premises[1], g
+        return Derivation("S", _RIGHT_FOR[m.sym], Sequent(g, m), (left, right))
     if rule == "f_I":
-        return _n2s_fi(d, conc, theories, memo)
+        return (yield from _n2s_fi(d, g, m, theories))
+    big = yield d.premises[0], g
+    principal = big.conclusion.goal
+    g1 = g | {principal}
     if rule == "p_E":
-        big = _n2s(d.premises[0], theories, memo)
-        principal = big.conclusion.goal
         a, b = principal.args
-        inner = Derivation("S", "p_L", Sequent(g | {principal}, m),
-                           (_id_node(g | {principal, a, b}, m, theories),),
+        inner = Derivation("S", "p_L", Sequent(g1, m),
+                           (_id_node(g1 | {a, b}, m, theories),),
                            {"principal": principal})
         return _cut(big, inner)
+    side = yield d.premises[1], g1
     if rule == "e_E":
-        big = _n2s(d.premises[0], theories, memo)
-        key = _n2s(d.premises[1], theories, memo)
-        principal = big.conclusion.goal
         a, k = principal.args
-        g1 = g | {principal}
         inner = Derivation("S", "e_L", Sequent(g1, m),
-                           (weaken(key, {principal}),
-                            _id_node(g1 | {a, k}, m, theories)),
+                           (side, _id_node(g1 | {a, k}, m, theories)),
                            {"principal": principal})
         return _cut(big, inner)
     if rule == "sign_E":
-        big = _n2s(d.premises[0], theories, memo)
-        pubkey = _n2s(d.premises[1], theories, memo)
-        principal = big.conclusion.goal
-        g1 = g | {principal}
-        g2 = g1 | {pubkey.conclusion.goal}
+        g2 = g1 | {side.conclusion.goal}
         inner = Derivation("S", "sign_L", Sequent(g2, m),
                            (_id_node(g2 | {m}, m, theories),),
                            {"principal": principal})
-        step = _cut(weaken(pubkey, {principal}), inner)
-        return _cut(big, step)
+        return _cut(big, _cut(side, inner))
     if rule == "blind_E1":
-        big = _n2s(d.premises[0], theories, memo)
-        factor = _n2s(d.premises[1], theories, memo)
-        principal = big.conclusion.goal
         a, r = principal.args
-        g1 = g | {principal}
         inner = Derivation("S", "blind_L1", Sequent(g1, m),
-                           (weaken(factor, {principal}),
-                            _id_node(g1 | {a, r}, m, theories)),
+                           (side, _id_node(g1 | {a, r}, m, theories)),
                            {"principal": principal})
         return _cut(big, inner)
     if rule == "blind_E2":
-        big = _n2s(d.premises[0], theories, memo)
-        factor = _n2s(d.premises[1], theories, memo)
-        principal = big.conclusion.goal
-        r = factor.conclusion.goal
-        g1 = g | {principal}
+        r = side.conclusion.goal
         inner = Derivation("S", "blind_L2", Sequent(g1, m),
-                           (weaken(factor, {principal}),
-                            _id_node(g1 | {m, r}, m, theories)),
+                           (side, _id_node(g1 | {m, r}, m, theories)),
                            {"principal": principal})
         return _cut(big, inner)
     raise ValueError(f"unknown N rule {rule!r}")
 
 
-def _n2s_fi(d: Derivation, conc: Sequent, theories, memo: dict) -> Derivation:
-    g, m = conc.gamma, conc.goal
-    subs = [_n2s(p, theories, memo) for p in d.premises]
-    goals = [s.conclusion.goal for s in subs]
+def _n2s_fi(d: Derivation, g: frozenset[Term], m: Term, theories):
+    """A fold: each premise cut in over Gamma plus the goals cut in before it."""
+    goals = [normalize(p.conclusion.goal, theories) for p in d.premises]
     th = _owner_theory(d.conclusion.goal, theories)
     witness = _fold_witness(th, d.conclusion.goal.sym, goals)
-    added: list[Term] = []
-    for i, s in enumerate(subs):
-        subs[i] = weaken(s, added)
-        if goals[i] not in g and goals[i] not in added:
-            added.append(goals[i])
-    node = Derivation("S", "id", Sequent(g | set(goals), m), (),
+    subs = []
+    over = g
+    for p, goal in zip(d.premises, goals):
+        subs.append((yield p, over))
+        if goal not in over:
+            over = over | {goal}
+    node = Derivation("S", "id", Sequent(over, m), (),
                       {"witness": witness, "theory": witness.theory})
     for s in reversed(subs):
         node = _cut(s, node)
@@ -660,125 +633,117 @@ def _fold_witness(th: Theory, sym: str, goals: list[Term]) -> ElemWitness:
 
 
 def seq_to_nd(d: Derivation, theories) -> Derivation:
-    """Translate a checked S derivation into N, rewriting id leaves into trees."""
+    """Translate a checked S derivation into N, rewriting id leaves into trees.
+
+    Every N node lives over the root's Gamma.  The walk binds each term a
+    cut or left rule adds to Gamma, unless Gamma already holds it, to the N
+    derivation of that term; an id leaf of a bound term is then that shared
+    derivation.  Each continuation is translated in a scope of its own, even
+    one that binds nothing new, so a subproof is translated once per scope
+    it is reached in, and the output shares what the reference translation
+    in tests/oracles.py shares.
+    """
     theories = as_theories(theories)
     err = find_error(d, theories)
     if err is not None:
         raise ValueError(f"input proof is invalid: {err}")
-    return _s2n(d, theories, _shared(d))
+    return _unfold(_SeqToNd(d.conclusion.gamma, theories).step, d, 0)
 
 
 def _nd_id(g: frozenset[Term], goal: Term) -> Derivation:
     return Derivation("N", "id", Sequent(g, goal))
 
 
-def _regraft(d: Derivation, g: frozenset[Term], grafts: dict[Term, Derivation],
-             memo: dict[int, Derivation]) -> Derivation:
-    """Rebuild an N derivation over a smaller Gamma, replacing broken id
-    leaves; memo as in _weaken."""
-    out = memo.get(id(d))
-    if out is not None:
+class _SeqToNd:
+    """One seq_to_nd walk: the root's Gamma, the derivations bound to the
+    terms the cuts and left rules on the current path add, and a counter
+    that names each new scope."""
+
+    def __init__(self, gamma: frozenset[Term], theories):
+        self.gamma = gamma
+        self.theories = theories
+        self.bound: dict[Term, Derivation] = {}
+        self.scopes = 0
+
+    def leaf(self, t: Term) -> Derivation:
+        """The N derivation of a term of the current Gamma."""
+        return _nd_id(self.gamma, t) if t in self.gamma else self.bound[t]
+
+    def step(self, d: Derivation, scope: int):
+        g0, m = self.gamma, d.conclusion.goal
+        rule = d.rule
+        if rule == "id":
+            return _witness_tree(d.aux["witness"], g0, m, self.theories, self.leaf)
+        if rule in S_RIGHT_RULES:
+            left = yield d.premises[0], scope
+            right = yield d.premises[1], scope
+            return Derivation("N", _INTRO_FOR[_RIGHT_SYM[rule]], Sequent(g0, m), (left, right))
+        # a cut or left rule: bind what it adds, then translate its continuation
+        principal = d.aux.get("principal")
+        if rule == "cut" or rule in S_BRANCHING_LEFT:
+            side = yield d.premises[0], scope
+        if rule in ("cut", "acut"):
+            binds = {d.premises[0].conclusion.goal: side}
+        elif rule == "p_L":
+            a, b = principal.args
+            binds = {a: Derivation("N", "p_E", Sequent(g0, a), (self.leaf(principal),)),
+                     b: Derivation("N", "p_E", Sequent(g0, b), (self.leaf(principal),))}
+        elif rule == "e_L":
+            a, k = principal.args
+            binds = {a: Derivation("N", "e_E", Sequent(g0, a), (self.leaf(principal), side)),
+                     k: side}
+        elif rule == "sign_L":
+            a, k = principal.args
+            binds = {a: Derivation("N", "sign_E", Sequent(g0, a),
+                                   (self.leaf(principal), self.leaf(capp("pub", (k,)))))}
+        elif rule == "blind_L1":
+            a, r = principal.args
+            binds = {a: Derivation("N", "blind_E1", Sequent(g0, a), (self.leaf(principal), side)),
+                     r: side}
+        elif rule == "blind_L2":
+            blinded, k = principal.args
+            a, r = blinded.args
+            unblinded = sign(a, k)
+            binds = {unblinded: Derivation("N", "blind_E2", Sequent(g0, unblinded),
+                                           (self.leaf(principal), side)),
+                     r: side}
+        else:
+            raise ValueError(f"unknown S rule {rule!r}")
+        g = d.conclusion.gamma
+        new = [t for t in binds if t not in g]
+        for t in new:
+            self.bound[t] = binds[t]
+        self.scopes += 1
+        out = yield d.premises[-1], self.scopes
+        for t in new:
+            del self.bound[t]
         return out
-    goal = d.conclusion.goal
-    if d.rule != "id":
-        out = Derivation("N", d.rule, Sequent(g, goal),
-                         tuple([_regraft(p, g, grafts, memo) for p in d.premises]), dict(d.aux))
-    elif goal in g:
-        out = _nd_id(g, goal)
-    else:
-        out = grafts.get(goal)
-        if out is None:
-            raise ValueError(f"no graft for id leaf {goal}")
-    memo[id(d)] = out
-    return out
 
 
-def _s2n(d: Derivation, theories, memo: dict) -> Derivation:
-    """The N translation of d, made once if d is shared (see _shared)."""
-    out = memo.get(id(d))
-    if out is None:
-        out = _s2n_node(d, theories, memo)
-        if id(d) in memo:
-            memo[id(d)] = out
-    return out
-
-
-def _s2n_node(d: Derivation, theories, memo: dict) -> Derivation:
-    g, m = d.conclusion.gamma, d.conclusion.goal
-    rule = d.rule
-    if rule == "id":
-        return _witness_tree(d.aux["witness"], g, m, theories)
-    if rule in S_RIGHT_RULES:
-        return Derivation("N", _INTRO_FOR[_RIGHT_SYM[rule]], Sequent(g, m),
-                          tuple([_s2n(p, theories, memo) for p in d.premises]))
-    if rule in ("cut", "acut"):
-        a = d.premises[0].conclusion.goal
-        left = _s2n(d.premises[0], theories, memo)
-        right = _s2n(d.premises[1], theories, memo)
-        return _regraft(right, g, {a: left}, {})
-    if rule == "p_L":
-        principal = d.aux["principal"]
-        a, b = principal.args
-        body = _s2n(d.premises[0], theories, memo)
-        graft_a = Derivation("N", "p_E", Sequent(g, a), (_nd_id(g, principal),))
-        graft_b = Derivation("N", "p_E", Sequent(g, b), (_nd_id(g, principal),))
-        return _regraft(body, g, {a: graft_a, b: graft_b}, {})
-    if rule == "e_L":
-        principal = d.aux["principal"]
-        a, k = principal.args
-        key = _s2n(d.premises[0], theories, memo)
-        body = _s2n(d.premises[1], theories, memo)
-        payload = Derivation("N", "e_E", Sequent(g, a), (_nd_id(g, principal), key))
-        return _regraft(body, g, {a: payload, k: key}, {})
-    if rule == "sign_L":
-        principal = d.aux["principal"]
-        a, k = principal.args
-        body = _s2n(d.premises[0], theories, memo)
-        payload = Derivation("N", "sign_E", Sequent(g, a),
-                             (_nd_id(g, principal), _nd_id(g, capp("pub", (k,)))))
-        return _regraft(body, g, {a: payload}, {})
-    if rule == "blind_L1":
-        principal = d.aux["principal"]
-        a, r = principal.args
-        factor = _s2n(d.premises[0], theories, memo)
-        body = _s2n(d.premises[1], theories, memo)
-        payload = Derivation("N", "blind_E1", Sequent(g, a), (_nd_id(g, principal), factor))
-        return _regraft(body, g, {a: payload, r: factor}, {})
-    if rule == "blind_L2":
-        principal = d.aux["principal"]
-        blinded, k = principal.args
-        a, r = blinded.args
-        unblinded = sign(a, k)
-        factor = _s2n(d.premises[0], theories, memo)
-        body = _s2n(d.premises[1], theories, memo)
-        payload = Derivation("N", "blind_E2", Sequent(g, unblinded),
-                             (_nd_id(g, principal), factor))
-        return _regraft(body, g, {unblinded: payload, r: factor}, {})
-    raise ValueError(f"unknown S rule {rule!r}")
-
-
-def _witness_tree(w: ElemWitness, g: frozenset[Term], goal: Term, theories) -> Derivation:
-    """An N proof of the witnessed context instance: id leaves, f_I folds, approx."""
+def _witness_tree(w: ElemWitness, g: frozenset[Term], goal: Term, theories,
+                  leaf) -> Derivation:
+    """An N proof of the witnessed context instance: leaf(e) for each hole
+    filled by e, f_I folds, approx."""
     by_name = {th.name: th for th in theories}
     th = by_name[w.theory]
     if w.kind == "empty":
-        return _nd_id(g, goal)
+        return leaf(goal)
     leaves: list[Derivation] = []
     if w.kind == "xor":
-        leaves = [_nd_id(g, e) for e in w.entries]
+        leaves = [leaf(e) for e in w.entries]
     elif w.kind == "ac":
         for e, c in w.entries:
-            leaves.extend(_nd_id(g, e) for _ in range(c))
+            leaves.extend(leaf(e) for _ in range(c))
     else:  # ag
         for e, c in w.entries:
-            base = _nd_id(g, e)
+            base = leaf(e)
             if c < 0:
                 base = Derivation("N", "f_I", Sequent(g, eapp("inv", (e,))), (base,))
             leaves.extend([base] * abs(c))
     if len(leaves) == 1:
         tree = leaves[0]
     else:
-        folded = eapp(th.ac_symbol, tuple(leaf.conclusion.goal for leaf in leaves))
+        folded = eapp(th.ac_symbol, tuple(x.conclusion.goal for x in leaves))
         tree = Derivation("N", "f_I", Sequent(g, folded), tuple(leaves))
     if tree.conclusion.goal is not goal:
         tree = Derivation("N", "approx", Sequent(g, goal), (tree,))

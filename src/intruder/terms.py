@@ -222,114 +222,135 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<var>\?[a-z][a-zA-Z0-9_]*)|(?P<ident>[a-z][a-zA-Z0-9_]*)"
-    r"|(?P<zero>0)|(?P<one>1)|(?P<punct>[(),+*]))"
-)
+# identifiers, punctuation, variables, 0 and 1; any other visible
+# character is a token of its own that no rule accepts
+_TOKEN = re.compile(r"\s*([a-z][a-zA-Z0-9_]*|[(),+*]|\?[a-z][a-zA-Z0-9_]*|[01]|\S)")
+_ONE_CHAR_TOKENS = frozenset("abcdefghijklmnopqrstuvwxyz(),+*01")
+
+# deepest nesting of applications and parentheses that parse_term accepts;
+# format_term, normalize, substitute and deduce recurse once or twice per
+# level, so this bound keeps them within the default recursion limit
+MAX_DEPTH = 300
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}",
-                             len(text) - len(text[pos:].lstrip()))
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+class _Failure(Exception):
+    """A parse error at a token index, before its column is worked out."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    """Recursive descent over the token strings, ending in "" (end of input).
+
+    sum := product ('+' product)*, product := atom ('*' atom)*; an atom not
+    followed by + or * is returned without entering the operator levels.
+    """
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
         self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        kind, text, pos = self.next()
-        if text != value:
-            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
+        self.depth = 0
 
     def parse(self) -> Term:
         t = self.sum()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", pos)
+        if self.tokens[self.i]:
+            raise _Failure(f"unexpected trailing input {self.tokens[self.i]!r}", self.i)
         return t
 
+    def expect(self, value: str) -> None:
+        text = self.tokens[self.i]
+        if text != value:
+            raise _Failure(f"expected {value!r}, found {text or 'end of input'!r}", self.i)
+        self.i += 1
+
     def sum(self) -> Term:
-        parts = [self.product()]
-        while self.peek()[1] == "+":
-            self.next()
-            parts.append(self.product())
+        t = self.atom()
+        op = self.tokens[self.i]
+        if op != "+" and op != "*":
+            return t
+        parts = [self.product(t)]
+        while self.tokens[self.i] == "+":
+            self.i += 1
+            parts.append(self.product(self.atom()))
         return parts[0] if len(parts) == 1 else eapp("+", parts)
 
-    def product(self) -> Term:
-        parts = [self.atom()]
-        while self.peek()[1] == "*":
-            self.next()
+    def product(self, first: Term) -> Term:
+        parts = [first]
+        while self.tokens[self.i] == "*":
+            self.i += 1
             parts.append(self.atom())
         return parts[0] if len(parts) == 1 else eapp("*", parts)
 
+    def nested(self, at: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _Failure("term nested too deep to parse", at)
+
     def atom(self) -> Term:
-        kind, text, pos = self.next()
-        if kind == "zero":
-            return eapp("0", ())
-        if kind == "one":
-            return eapp("1", ())
-        if kind == "var":
-            return var(text[1:])
-        if kind == "punct" and text == "(":
-            t = self.sum()
-            self.expect(")")
-            return t
-        if kind == "ident":
-            if self.peek()[1] != "(":
-                return name(text)
-            self.next()
+        at = self.i
+        text = self.tokens[at]
+        self.i = at + 1
+        if "a" <= text[:1] <= "z":
+            if self.tokens[self.i] != "(":
+                return _mk(NAME, text, ())
+            self.i += 1
+            self.nested(at)
             args = [self.sum()]
-            while self.peek()[1] == ",":
-                self.next()
+            while self.tokens[self.i] == ",":
+                self.i += 1
                 args.append(self.sum())
             self.expect(")")
-            if text in CONSTRUCTOR_ARITY:
-                if len(args) != CONSTRUCTOR_ARITY[text]:
-                    raise ParseError(
-                        f"{text} expects {CONSTRUCTOR_ARITY[text]} arguments, got {len(args)}", pos)
-                return capp(text, args)
+            self.depth -= 1
+            arity = CONSTRUCTOR_ARITY.get(text)
+            if arity is not None:
+                if len(args) != arity:
+                    raise _Failure(f"{text} expects {arity} arguments, got {len(args)}", at)
+                return _mk(CAPP, text, tuple(args))
             if text == "inv":
                 if len(args) != 1:
-                    raise ParseError(f"inv expects 1 argument, got {len(args)}", pos)
+                    raise _Failure(f"inv expects 1 argument, got {len(args)}", at)
                 return eapp("inv", args)
-            raise ParseError(f"unknown function {text!r}", pos)
-        raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
+            raise _Failure(f"unknown function {text!r}", at)
+        if text[:1] == "?" and len(text) > 1:
+            return var(text[1:])
+        if text == "0" or text == "1":
+            return eapp(text, ())
+        if text == "(":
+            self.nested(at)
+            t = self.sum()
+            self.expect(")")
+            self.depth -= 1
+            return t
+        raise _Failure(f"unexpected {text or 'end of input'!r}", at)
 
 
 def parse_term(text: str) -> Term:
     """Parse the concrete term grammar; raises ParseError with a column.
 
-    The parser recurses once per nesting level, so a term nested deeper than
-    the interpreter's recursion limit allows is an error in the input too.
+    The text is split into tokens by one regular-expression scan.  A term
+    nested more than MAX_DEPTH levels deep is an error in the input, and so
+    is one that the interpreter's recursion limit stops first.
     """
-    parser = _Parser(text)
+    parser = _Parser(_TOKEN.findall(text) + [""])
     try:
         return parser.parse()
+    except _Failure as e:
+        failure = e
     except RecursionError:
-        pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)][2]
-        raise ParseError("term nested too deep to parse", pos) from None
+        failure = _Failure("term nested too deep to parse",
+                           min(parser.i, len(parser.tokens) - 1))
+    # a character that starts no token is reported before any other error
+    columns = []
+    for m in _TOKEN.finditer(text):
+        token = m.group(1)
+        if len(token) == 1 and token not in _ONE_CHAR_TOKENS:
+            raise ParseError(f"unexpected character {token!r}", m.start(1)) from None
+        columns.append(m.start(1))
+    columns.append(len(text))
+    raise ParseError(failure.message, columns[failure.index]) from None
 
 
 _PRECEDENCE = {"+": 1, "*": 2}

@@ -30,6 +30,14 @@ decide_xor and decide_ag are the elementary deciders that the xor and ag
 spans replaced: GF(2) and exact integer elimination over the whole of a
 sorted Gamma on every call (solve_gf2, solve_int), each returning its own
 witness.
+
+reference_seq_to_nd and reference_nd_to_seq are the proof translations
+that proofs.seq_to_nd and nd_to_seq replaced.  They recurse once per node
+and rebuild subproofs: the first translates each S node over its own Gamma
+and rebuilds its continuation's N proof over the smaller Gamma below every
+cut and left rule (_regraft); the second normalizes Gamma at every N node
+and copies premises into a larger Gamma with weaken.  height measures a
+derivation for the weaken tests.
 """
 from __future__ import annotations
 
@@ -42,6 +50,7 @@ from intruder.constraints import (ConstraintSystem, Solution, Substitution, _app
                                   well_formed)
 from intruder.elementary import ElemWitness
 from intruder.engine import _apply_left, _linear_proof, _right, _rules_for
+from intruder import proofs
 from intruder.proofs import S_LEFT_RULES, Derivation, Sequent
 from intruder.rewriting import (Abstraction, Theory, as_theories, normalize,
                                 theory_vector, vector_term)
@@ -544,3 +553,244 @@ def solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
         if sum(rows[r][i] * x[i] for i in range(n)) != b[r]:
             raise RuntimeError("integer elimination returned an inexact solution")
     return x
+
+
+# --- reference proof translations ----------------------------------------------
+
+
+def height(d: Derivation) -> int:
+    """The number of nodes on the longest premise path from d, on a stack."""
+    heights: dict[int, int] = {}
+    stack = [(d, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            heights[id(node)] = 1 + max((heights[id(p)] for p in node.premises), default=0)
+        elif id(node) not in heights:
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.premises)
+    return heights[id(d)]
+
+
+def weaken(d: Derivation, extra: Iterable[Term]) -> Derivation:
+    """The same derivation over Gamma extended with extra terms (same height)."""
+    extra = frozenset(extra)
+    if not extra:
+        return d
+    return _weaken(d, extra, {})
+
+
+def _weaken(d: Derivation, extra: frozenset[Term], memo: dict[int, Derivation]) -> Derivation:
+    # memo maps each node weakened so far (by identity) to its result, so a
+    # proof that shares subtrees costs its nodes, not its paths
+    out = memo.get(id(d))
+    if out is None:
+        aux = dict(d.aux)
+        emb = aux.get("right")
+        if isinstance(emb, Derivation):
+            aux["right"] = _weaken(emb, extra, memo)
+        out = memo[id(d)] = Derivation(
+            d.system, d.rule, Sequent(d.conclusion.gamma | extra, d.conclusion.goal),
+            tuple([_weaken(p, extra, memo) for p in d.premises]), aux)
+    return out
+
+
+def _shared(d: Derivation) -> dict[int, None]:
+    """A memo with an empty slot for each node below d that is the premise
+    of more than one node, or twice of one."""
+    seen: set[int] = set()
+    memo: dict[int, None] = {}
+    stack = [d]
+    while stack:
+        for p in stack.pop().premises:
+            if id(p) in seen:
+                memo[id(p)] = None
+            else:
+                seen.add(id(p))
+                stack.append(p)
+    return memo
+
+
+def reference_nd_to_seq(d: Derivation, theories) -> Derivation:
+    """proofs.nd_to_seq by recursion: each N node is translated over the
+    root's Gamma, normalized again at every node, and a premise used over a
+    larger Gamma is copied there by weaken."""
+    theories = as_theories(theories)
+    err = proofs.find_error(d, theories)
+    if err is not None:
+        raise ValueError(f"input proof is invalid: {err}")
+    return _n2s(d, theories, _shared(d))
+
+
+def _norm_sequent(s: Sequent, theories) -> Sequent:
+    return Sequent(frozenset(normalize(t, theories) for t in s.gamma),
+                   normalize(s.goal, theories))
+
+
+def _n2s(d: Derivation, theories, memo: dict) -> Derivation:
+    out = memo.get(id(d))
+    if out is None:
+        out = _n2s_node(d, theories, memo)
+        if id(d) in memo:
+            memo[id(d)] = out
+    return out
+
+
+def _n2s_node(d: Derivation, theories, memo: dict) -> Derivation:
+    conc = _norm_sequent(d.conclusion, theories)
+    g, m = conc.gamma, conc.goal
+    rule = d.rule
+    id_node, cut = proofs._id_node, proofs._cut
+    if rule == "id":
+        return id_node(g, m, theories)
+    if rule == "approx":
+        return _n2s(d.premises[0], theories, memo)
+    if rule in ("p_I", "e_I", "sign_I", "blind_I"):
+        left = _n2s(d.premises[0], theories, memo)
+        right = _n2s(d.premises[1], theories, memo)
+        return Derivation("S", proofs._RIGHT_FOR[m.sym], conc, (left, right))
+    if rule == "f_I":
+        return _n2s_fi(d, conc, theories, memo)
+    big = _n2s(d.premises[0], theories, memo)
+    principal = big.conclusion.goal
+    g1 = g | {principal}
+    if rule == "p_E":
+        a, b = principal.args
+        inner = Derivation("S", "p_L", Sequent(g1, m),
+                           (id_node(g1 | {a, b}, m, theories),),
+                           {"principal": principal})
+        return cut(big, inner)
+    side = _n2s(d.premises[1], theories, memo)
+    if rule == "e_E":
+        a, k = principal.args
+        inner = Derivation("S", "e_L", Sequent(g1, m),
+                           (weaken(side, {principal}), id_node(g1 | {a, k}, m, theories)),
+                           {"principal": principal})
+        return cut(big, inner)
+    if rule == "sign_E":
+        g2 = g1 | {side.conclusion.goal}
+        inner = Derivation("S", "sign_L", Sequent(g2, m),
+                           (id_node(g2 | {m}, m, theories),),
+                           {"principal": principal})
+        return cut(big, cut(weaken(side, {principal}), inner))
+    if rule == "blind_E1":
+        a, r = principal.args
+        inner = Derivation("S", "blind_L1", Sequent(g1, m),
+                           (weaken(side, {principal}), id_node(g1 | {a, r}, m, theories)),
+                           {"principal": principal})
+        return cut(big, inner)
+    if rule == "blind_E2":
+        r = side.conclusion.goal
+        inner = Derivation("S", "blind_L2", Sequent(g1, m),
+                           (weaken(side, {principal}), id_node(g1 | {m, r}, m, theories)),
+                           {"principal": principal})
+        return cut(big, inner)
+    raise ValueError(f"unknown N rule {rule!r}")
+
+
+def _n2s_fi(d: Derivation, conc: Sequent, theories, memo: dict) -> Derivation:
+    g, m = conc.gamma, conc.goal
+    subs = [_n2s(p, theories, memo) for p in d.premises]
+    goals = [s.conclusion.goal for s in subs]
+    th = proofs._owner_theory(d.conclusion.goal, theories)
+    witness = proofs._fold_witness(th, d.conclusion.goal.sym, goals)
+    added: list[Term] = []
+    for i, s in enumerate(subs):
+        subs[i] = weaken(s, added)
+        if goals[i] not in g and goals[i] not in added:
+            added.append(goals[i])
+    node = Derivation("S", "id", Sequent(g | set(goals), m), (),
+                      {"witness": witness, "theory": witness.theory})
+    for s in reversed(subs):
+        node = proofs._cut(s, node)
+    return node
+
+
+def reference_seq_to_nd(d: Derivation, theories) -> Derivation:
+    """proofs.seq_to_nd by recursion: each S node is translated over its own
+    Gamma, and every cut and left rule rebuilds its continuation's N proof
+    over the smaller Gamma below it, grafting the derivations of the terms
+    it adds onto the id leaves that cite them (_regraft)."""
+    theories = as_theories(theories)
+    err = proofs.find_error(d, theories)
+    if err is not None:
+        raise ValueError(f"input proof is invalid: {err}")
+    return _s2n(d, theories, _shared(d))
+
+
+def _regraft(d: Derivation, g: frozenset[Term], grafts: dict[Term, Derivation],
+             memo: dict[int, Derivation]) -> Derivation:
+    """Rebuild an N derivation over a smaller Gamma, replacing broken id
+    leaves; memo as in _weaken."""
+    out = memo.get(id(d))
+    if out is not None:
+        return out
+    goal = d.conclusion.goal
+    if d.rule != "id":
+        out = Derivation("N", d.rule, Sequent(g, goal),
+                         tuple([_regraft(p, g, grafts, memo) for p in d.premises]), dict(d.aux))
+    elif goal in g:
+        out = proofs._nd_id(g, goal)
+    else:
+        out = grafts.get(goal)
+        if out is None:
+            raise ValueError(f"no graft for id leaf {goal}")
+    memo[id(d)] = out
+    return out
+
+
+def _s2n(d: Derivation, theories, memo: dict) -> Derivation:
+    out = memo.get(id(d))
+    if out is None:
+        out = _s2n_node(d, theories, memo)
+        if id(d) in memo:
+            memo[id(d)] = out
+    return out
+
+
+def _s2n_node(d: Derivation, theories, memo: dict) -> Derivation:
+    g, m = d.conclusion.gamma, d.conclusion.goal
+    rule = d.rule
+    nd_id = proofs._nd_id
+    if rule == "id":
+        return proofs._witness_tree(d.aux["witness"], g, m, theories,
+                                    lambda e: nd_id(g, e))
+    if rule in proofs.S_RIGHT_RULES:
+        return Derivation("N", proofs._INTRO_FOR[proofs._RIGHT_SYM[rule]], Sequent(g, m),
+                          tuple([_s2n(p, theories, memo) for p in d.premises]))
+    if rule in ("cut", "acut"):
+        a = d.premises[0].conclusion.goal
+        left = _s2n(d.premises[0], theories, memo)
+        right = _s2n(d.premises[1], theories, memo)
+        return _regraft(right, g, {a: left}, {})
+    principal = d.aux["principal"]
+    if rule == "p_L":
+        a, b = principal.args
+        body = _s2n(d.premises[0], theories, memo)
+        graft_a = Derivation("N", "p_E", Sequent(g, a), (nd_id(g, principal),))
+        graft_b = Derivation("N", "p_E", Sequent(g, b), (nd_id(g, principal),))
+        return _regraft(body, g, {a: graft_a, b: graft_b}, {})
+    if rule == "sign_L":
+        a, k = principal.args
+        body = _s2n(d.premises[0], theories, memo)
+        payload = Derivation("N", "sign_E", Sequent(g, a),
+                             (nd_id(g, principal), nd_id(g, capp("pub", (k,)))))
+        return _regraft(body, g, {a: payload}, {})
+    side = _s2n(d.premises[0], theories, memo)
+    body = _s2n(d.premises[1], theories, memo)
+    if rule == "e_L":
+        a, k = principal.args
+        payload = Derivation("N", "e_E", Sequent(g, a), (nd_id(g, principal), side))
+        return _regraft(body, g, {a: payload, k: side}, {})
+    if rule == "blind_L1":
+        a, r = principal.args
+        payload = Derivation("N", "blind_E1", Sequent(g, a), (nd_id(g, principal), side))
+        return _regraft(body, g, {a: payload, r: side}, {})
+    if rule == "blind_L2":
+        blinded, k = principal.args
+        a, r = blinded.args
+        unblinded = sign(a, k)
+        payload = Derivation("N", "blind_E2", Sequent(g, unblinded),
+                             (nd_id(g, principal), side))
+        return _regraft(body, g, {unblinded: payload, r: side}, {})
+    raise ValueError(f"unknown S rule {rule!r}")

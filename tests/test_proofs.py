@@ -1,18 +1,22 @@
 import ast
+import importlib.util
 import json
+import pathlib
 import random
+import sys
 
 import pytest
 
 from conftest import gen_instance, holes
-from oracles import left_rule_count, sequents_of
+from oracles import (height, left_rule_count, reference_nd_to_seq, reference_seq_to_nd,
+                     sequents_of, weaken)
 from intruder import proofs
+from intruder.cli import read_problem
 from intruder.elementary import ElemWitness
 from intruder.engine import deduce
 from intruder.proofs import (Derivation, Sequent, check, dumps, find_error,
                              from_json, is_normal_derivation, linear_to_seq,
-                             loads, nd_to_seq, render_text, seq_to_nd, to_json,
-                             weaken)
+                             loads, nd_to_seq, render_text, seq_to_nd, to_json)
 from intruder.rewriting import make_theories
 from intruder.terms import blind, eapp, enc, name, pair, pub, sign
 
@@ -319,7 +323,7 @@ def test_weaken_enlarges_every_sequent():
     assert check(w, EMPTYS)
     assert w.conclusion.gamma == frozenset({a, b, c})
     assert all(c in s.gamma for s in sequents_of(w))
-    assert w.height() == d.height()
+    assert height(w) == height(d)
     assert [p.rule for p in w.premises] == [p.rule for p in d.premises]
 
 
@@ -335,7 +339,7 @@ def test_weaken_preserves_height_on_random_proofs():
         s = linear_to_seq(d, EMPTYS)
         extra = {name("w"), pair(name("w"), a)}
         w = weaken(s, extra)
-        assert w.height() == s.height()
+        assert height(w) == height(s)
         assert check(w, EMPTYS)
         done += 1
     assert done >= 15
@@ -682,3 +686,123 @@ def _nodes_once(d):
 def _children_of(node):
     emb = node.aux.get("right")
     return [*node.premises, *([emb] if isinstance(emb, Derivation) else [])]
+
+
+def _assert_translations_match_the_reference(s, ths):
+    """seq_to_nd and nd_to_seq write what the recursive reference
+    translations write: on s, on its N translation, and on the S proof with
+    cuts that the N proof translates back to."""
+    nd = seq_to_nd(s, ths)
+    assert dumps(nd) == dumps(reference_seq_to_nd(s, ths))
+    back = nd_to_seq(nd, ths)
+    assert dumps(back) == dumps(reference_nd_to_seq(nd, ths))
+    assert dumps(seq_to_nd(back, ths)) == dumps(reference_seq_to_nd(back, ths))
+
+
+def test_translations_match_the_reference_on_random_proofs():
+    for theory_name, seed in [("empty", 61), ("xor", 62), ("ag", 63), ("ac", 64)]:
+        forms = _proof_forms(theory_name, seed)
+        for s in forms[1::3]:
+            _assert_translations_match_the_reference(s, make_theories((theory_name,)))
+    for gamma, goal, ths in ROUND_TRIP_CASES:
+        _assert_translations_match_the_reference(linear_to_seq(deduce(gamma, goal, ths), ths), ths)
+    rng = random.Random(51)
+    for _ in range(120):
+        gamma, goal = gen_instance(rng, [a, b, c, k], (), st_cap=15)
+        d = deduce(gamma, goal, EMPTYS)
+        if d is not None:
+            _assert_translations_match_the_reference(linear_to_seq(d, EMPTYS), EMPTYS)
+    nd, ths = _shared_nd_proof()
+    assert dumps(nd_to_seq(nd, ths)) == dumps(reference_nd_to_seq(nd, ths))
+    nd = _doubling_nd_proof(12)
+    assert dumps(nd_to_seq(nd, EMPTYS)) == dumps(reference_nd_to_seq(nd, EMPTYS))
+    _assert_translations_match_the_reference(nd_to_seq(nd, EMPTYS), EMPTYS)
+
+
+def _workloads():
+    """The benchmark's instance generators, bench/workloads.py."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+def test_translations_match_the_reference_on_the_toy_pipeline_templates(seed):
+    for t in _workloads().proof_sources(seed, toy=True):
+        names, knows, goal = read_problem(t.text)
+        ths = make_theories(tuple(names))
+        s = linear_to_seq(loads(dumps(deduce(knows, goal, ths))), ths)
+        _assert_translations_match_the_reference(s, ths)
+
+
+def _unshared(d):
+    """d as a tree of nested tuples, blind to which subtrees are shared."""
+    aux = tuple(sorted((key, repr(v)) for key, v in d.aux.items()))
+    return (d.system, d.rule, d.conclusion, aux, tuple(_unshared(p) for p in d.premises))
+
+
+def test_nd_to_seq_shares_a_premise_a_fold_cites_twice():
+    # the reference weakens the proof of k into one copy per later citation;
+    # both citations sit over Gamma plus k, so nd_to_seq makes one
+    g = frozenset({a, pair(k, b)})
+    k_proof = Derivation("N", "p_E", Sequent(g, k), (n_id(g, pair(k, b)),))
+    nd = Derivation("N", "f_I", Sequent(g, plus(a, k, k, k)),
+                    (n_id(g, a), k_proof, k_proof, k_proof))
+    out, ref = nd_to_seq(nd, ACS), reference_nd_to_seq(nd, ACS)
+    assert find_error(out, ACS) is None
+    assert _unshared(out) == _unshared(ref)
+    assert len(to_json(out)["nodes"]) < len(to_json(ref)["nodes"])
+
+
+def test_five_hundred_link_translations_under_the_default_recursion_limit():
+    gamma, goal = _enc_chain(500)
+    s = linear_to_seq(deduce(gamma, goal, EMPTYS), EMPTYS)
+    nd = seq_to_nd(s, EMPTYS)
+    assert find_error(nd, EMPTYS) is None
+    back = nd_to_seq(nd, EMPTYS)
+    assert find_error(back, EMPTYS) is None
+    assert back.conclusion == s.conclusion
+    assert is_normal_derivation(s) and not is_normal_derivation(back)
+    assert height(back) > 500
+
+
+def test_seq_to_nd_translates_a_shared_continuation_once_per_cut():
+    # one continuation object under four cuts: the first two bind a to
+    # different derivations (by e_L, by p_L), the last two bind nothing new
+    g = frozenset({enc(a, k), k, pair(a, b)})
+    by_enc = Derivation("S", "e_L", Sequent(g, a), (s_id(g, k), s_id(g | {a}, a)),
+                        {"principal": enc(a, k)})
+    by_pair = Derivation("S", "p_L", Sequent(g, a), (s_id(g | {a, b}, a),),
+                         {"principal": pair(a, b)})
+    shared = s_id(g | {a}, a)
+    twice_a = Derivation("S", "p_R", Sequent(g, pair(a, a)),
+                         (Derivation("S", "cut", Sequent(g, a), (by_enc, shared)),
+                          Derivation("S", "cut", Sequent(g, a), (by_pair, shared))))
+    again = s_id(g, k)
+    twice_k = Derivation("S", "p_R", Sequent(g, pair(k, k)),
+                         (Derivation("S", "cut", Sequent(g, k), (s_id(g, k), again)),
+                          Derivation("S", "cut", Sequent(g, k), (s_id(g, k), again))))
+    d = Derivation("S", "p_R", Sequent(g, pair(pair(a, a), pair(k, k))), (twice_a, twice_k))
+    assert find_error(d, EMPTYS) is None
+    nd = seq_to_nd(d, EMPTYS)
+    assert find_error(nd, EMPTYS) is None
+    assert [p.rule for p in nd.premises[0].premises] == ["e_E", "p_E"]
+    assert dumps(nd) == dumps(reference_seq_to_nd(d, EMPTYS))
+
+
+def test_is_normal_derivation_rejects_left_rules_above_right_rules():
+    side, _ = _smuggled("p_R")  # a p_R whose premises end in p_L
+    assert not is_normal_derivation(side)
+    g = frozenset({enc(a, k), pair(k, b)})
+    key_by_p_l, _ = _smuggled("p_L")  # a branching rule whose side proof ends in p_L
+    d = Derivation("S", "e_L", Sequent(g, a), (key_by_p_l, s_id(g | {a, k}, a)),
+                   {"principal": enc(a, k)})
+    assert find_error(d, EMPTYS) is None
+    assert not is_normal_derivation(d)
+    assert is_normal_derivation(Derivation("S", "e_L", Sequent(g | {k}, a),
+                                           (s_id(g | {k}, k), s_id(g | {a, k}, a)),
+                                           {"principal": enc(a, k)}))

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import gen_ground, gen_sigma_term, gen_wf_system
 from oracles import proper_subterms, recursive_size, saturate, walked_variables
-from intruder.rewriting import (ag_theory, empty_theory, make_theories,
+from intruder.engine import deduce
+from intruder.rewriting import (ag_theory, empty_theory, make_theories, normalize,
                                 xor_theory)
-from intruder.terms import (CAPP, EAPP, VAR, ParseError, blind, capp,
+from intruder.terms import (CAPP, EAPP, MAX_DEPTH, VAR, ParseError, blind, capp,
                             e_factors, eapp, enc, format_term, is_e_alien,
                             name, pair, parse_term, pub, sign, size, subterms,
                             substitute, var, variables)
@@ -252,6 +253,47 @@ def test_parse_errors():
     for bad in ["pair(a", "", "pair(a,b,c)", "a +", "?", "enc(a b)", "Upper", deep]:
         with pytest.raises(ParseError):
             parse_term(bad)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("pair(a", "expected ')', found 'end of input' (column 7)"),
+    ("", "unexpected 'end of input' (column 1)"),
+    ("pair(a,b,c)", "pair expects 2 arguments, got 3 (column 1)"),
+    ("a +", "unexpected 'end of input' (column 4)"),
+    ("?", "unexpected character '?' (column 1)"),
+    ("enc(a b)", "expected ')', found 'b' (column 7)"),
+    ("Upper", "unexpected character 'U' (column 1)"),
+    ("f(a)", "unknown function 'f' (column 1)"),
+    ("inv(a, b)", "inv expects 1 argument, got 2 (column 1)"),
+    ("a b", "unexpected trailing input 'b' (column 3)"),
+    # a character no token starts with is reported before any grammar error
+    ("pair(a, b, c) ?", "unexpected character '?' (column 15)"),
+    ("a + (b", "expected ')', found 'end of input' (column 7)"),
+    ("pair(a,)", "unexpected ')' (column 8)"),
+    ("a * * b", "unexpected '*' (column 5)"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_term(text)
+    assert str(caught.value) == message
+
+
+def test_parse_depth_bound():
+    def nested(depth):
+        return "pair(" * depth + "a" + ", a)" * depth
+
+    t = parse_term(nested(MAX_DEPTH))
+    # the functions that recurse once per level handle the deepest term
+    assert parse_term(format_term(t)) is t
+    assert normalize(t, make_theories(("xor",))) is t
+    assert deduce([a], t, make_theories(("empty",))) is not None
+    with pytest.raises(ParseError, match=r"term nested too deep to parse \(column 1501\)"):
+        parse_term(nested(MAX_DEPTH + 1))
+    with pytest.raises(ParseError, match="term nested too deep"):
+        parse_term("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1))
+    # the bound is on nesting, not on the number of applications
+    wide = "+".join(f"pub(a{i})" for i in range(2 * MAX_DEPTH))
+    assert len(parse_term(wide).args) == 2 * MAX_DEPTH
 
 
 def test_e_factors_respects_theory_signature():
