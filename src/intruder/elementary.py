@@ -323,32 +323,39 @@ def _decide_ac(theory: Theory, gamma: list[Term], goal: Term,
 
 def _solve_nat(vecs: list[Mapping[Term, int]], target: Mapping[Term, int]) -> list[int] | None:
     """Natural-number solution of sum(c_i * vec_i) = target, exact and total >= 1."""
-
-    def rec(i: int, remaining: dict[Term, int]) -> list[int] | None:
-        if not remaining:
-            return [0] * (len(vecs) - i)
-        if i == len(vecs):
-            return None
-        v = vecs[i]
-        bound = min((remaining.get(a, 0) // c for a, c in v.items()), default=0)
-        for c in range(bound, -1, -1):
-            rest = dict(remaining)
-            ok = True
-            for a, n in v.items():
-                rest[a] = rest.get(a, 0) - c * n
-                if rest[a] < 0:
-                    ok = False
-                    break
-                if not rest[a]:
-                    del rest[a]
-            if not ok:
-                continue
-            tail = rec(i + 1, rest)
-            if tail is not None:
-                return [c] + tail
-        return None
-
-    sol = rec(0, dict(target))
+    sol = _nat_from(vecs, 0, dict(target))
     if sol is None or not any(sol):
         return None
     return sol
+
+
+def _nat_from(vecs: list[Mapping[Term, int]], i: int,
+              remaining: dict[Term, int]) -> list[int] | None:
+    """Counts for vecs[i:] that sum to ``remaining``, largest first.
+
+    A module-level function, not a closure: a nested function that calls
+    itself holds its own cell, a cycle that keeps the vectors' terms alive
+    until the cyclic collector runs.
+    """
+    if not remaining:
+        return [0] * (len(vecs) - i)
+    if i == len(vecs):
+        return None
+    v = vecs[i]
+    bound = min((remaining.get(a, 0) // c for a, c in v.items()), default=0)
+    for c in range(bound, -1, -1):
+        rest = dict(remaining)
+        ok = True
+        for a, n in v.items():
+            rest[a] = rest.get(a, 0) - c * n
+            if rest[a] < 0:
+                ok = False
+                break
+            if not rest[a]:
+                del rest[a]
+        if not ok:
+            continue
+        tail = _nat_from(vecs, i + 1, rest)
+        if tail is not None:
+            return [c] + tail
+    return None

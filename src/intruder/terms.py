@@ -5,14 +5,22 @@ pair, enc) or equational-symbol applications.  The two reserved AC symbols
 ``+`` and ``*`` are stored flattened with their argument multiset in a fixed
 total order, so structural identity coincides with equality modulo AC.
 Terms are hash-consed: building the same canonical term twice yields the
-same object, which makes term sets behave like shared-DAG node sets.  A
-node's variable set and size are computed once, from its children's, when
-the node is interned, and kept in its ``vars`` and ``size`` slots.
+same object while the first is alive, which makes term sets behave like
+shared-DAG node sets.  The intern table holds its terms weakly, so a term
+lives exactly as long as something references it.  Variables are the
+exception: a variable's own variable set holds it, a cycle that only the
+cyclic collector could free, so variables are pinned for the life of the
+process.  Every other term is freed by reference counting as soon as its
+last user drops it.  A node's variable set and size are computed once, from
+its children's, when the node is interned, and kept in its ``vars`` and
+``size`` slots.
 """
 from __future__ import annotations
 
 import re
 import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from typing import Iterable
 
 NAME, VAR, CAPP, EAPP = range(4)  # also the major sort rank of a head
@@ -36,7 +44,7 @@ class Term:
     when the node is interned.
     """
 
-    __slots__ = ("kind", "sym", "args", "key", "vars", "size")
+    __slots__ = ("kind", "sym", "args", "key", "vars", "size", "__weakref__")
 
     kind: int
     sym: str
@@ -55,39 +63,71 @@ class Term:
         return format_term(self)
 
 
-_intern: dict[tuple, Term] = {}
+class _Ref(weakref.ref):
+    """A weak reference that knows its table key, as weakref.KeyedRef does.
+
+    KeyedRef's constructor runs in Python and costs more than the rest of
+    interning a term; this one is built by weakref.ref's own and ``key`` is
+    set after.
+    """
+
+    __slots__ = ("key",)
+
+
+# (kind, sym, args) -> weak reference to the one live term of that structure
+_intern: dict[tuple, _Ref] = {}
 _intern_lock = threading.Lock()
+_pinned: list[Term] = []  # every variable ever built, kept alive
 _NO_VARS: frozenset[Term] = frozenset()  # shared by every ground term
 
 
-def _vars_of(args: tuple[Term, ...]) -> frozenset[Term]:
-    """Union of the children's variable sets; a lone non-empty one is reused."""
-    sets = [a.vars for a in args if a.vars]
-    if not sets:
-        return _NO_VARS
-    if len(sets) == 1:
-        return sets[0]
-    return sets[0].union(*sets[1:])
+def _drop(ref: _Ref, _remove=_remove_dead_weakref, _table=_intern) -> None:
+    # a term died: forget its entry, unless a new term already took the slot.
+    # One atomic call and no lock, since a term can die while _mk holds it.
+    _remove(_table, ref.key)
 
 
 def _mk(kind: int, sym: str, args: tuple[Term, ...]) -> Term:
     ident = (kind, sym, args)
-    t = _intern.get(ident)
-    if t is None:
-        # double-checked: the dict is the only shared mutable state
-        with _intern_lock:
-            t = _intern.get(ident)
-            if t is None:
-                t = object.__new__(Term)
-                t.kind = kind
-                t.sym = sym
-                t.args = args
-                t.key = (kind, sym, len(args), tuple(a.key for a in args))
-                t.vars = frozenset((t,)) if kind == VAR else _vars_of(args)
+    ref = _intern.get(ident)
+    if ref is not None:
+        t = ref()
+        if t is not None:
+            return t
+    # double-checked: builders take turns, so a structure gets one term
+    with _intern_lock:
+        ref = _intern.get(ident)
+        t = None if ref is None else ref()
+        if t is None:
+            t = object.__new__(Term)
+            t.kind = kind
+            t.sym = sym
+            t.args = args
+            if args:
                 # a flattened AC node stands for n-1 binary applications
-                own = len(args) - 1 if kind == EAPP and sym in AC_SYMBOLS else 1
-                t.size = own + sum(a.size for a in args)
-                _intern[ident] = t
+                n = len(args) - 1 if kind == EAPP and sym in AC_SYMBOLS else 1
+                vs = _NO_VARS
+                keys = []
+                for a in args:
+                    keys.append(a.key)
+                    n += a.size
+                    av = a.vars
+                    if av and av is not vs:
+                        vs = av if not vs else vs | av
+                t.key = (kind, sym, len(args), tuple(keys))
+                t.vars = vs
+                t.size = n
+            else:
+                t.key = (kind, sym, 0, ())
+                t.size = 1
+                if kind == VAR:
+                    t.vars = frozenset((t,))
+                    _pinned.append(t)
+                else:
+                    t.vars = _NO_VARS
+            ref = _Ref(t, _drop)
+            ref.key = ident
+            _intern[ident] = ref
     return t
 
 
@@ -242,115 +282,127 @@ class _Failure(Exception):
         self.index = index
 
 
-class _Parser:
-    """Recursive descent over the token strings, ending in "" (end of input).
+def _parse_tokens(tokens: list[str]) -> Term:
+    """Parse token strings ending in "" (end of input), without recursing.
 
-    sum := product ('+' product)*, product := atom ('*' atom)*; an atom not
-    followed by + or * is returned without entering the operator levels.
+    sum := product ('+' product)*, product := atom ('*' atom)*, and an atom
+    is a name, a variable, 0, 1, f(sum, ..., sum) or (sum).  Each open
+    application or parenthesis is a frame on ``stack`` that saves the sum
+    and product parts of the level around it; errors are raised at the
+    token indices a recursive descent would raise them at.
     """
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
-
-    def parse(self) -> Term:
-        t = self.sum()
-        if self.tokens[self.i]:
-            raise _Failure(f"unexpected trailing input {self.tokens[self.i]!r}", self.i)
-        return t
-
-    def expect(self, value: str) -> None:
-        text = self.tokens[self.i]
-        if text != value:
-            raise _Failure(f"expected {value!r}, found {text or 'end of input'!r}", self.i)
-        self.i += 1
-
-    def sum(self) -> Term:
-        t = self.atom()
-        op = self.tokens[self.i]
-        if op != "+" and op != "*":
-            return t
-        parts = [self.product(t)]
-        while self.tokens[self.i] == "+":
-            self.i += 1
-            parts.append(self.product(self.atom()))
-        return parts[0] if len(parts) == 1 else eapp("+", parts)
-
-    def product(self, first: Term) -> Term:
-        parts = [first]
-        while self.tokens[self.i] == "*":
-            self.i += 1
-            parts.append(self.atom())
-        return parts[0] if len(parts) == 1 else eapp("*", parts)
-
-    def nested(self, at: int) -> None:
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise _Failure("term nested too deep to parse", at)
-
-    def atom(self) -> Term:
-        at = self.i
-        text = self.tokens[at]
-        self.i = at + 1
+    mk = _mk
+    stack: list[tuple] = []  # (head or None for "(", its token index, args, sums, prods)
+    sums: list[Term] = []    # finished products of the innermost open sum
+    prods: list[Term] = []   # atoms of its open product
+    i = 0
+    while True:
+        # an atom starts at token i
+        at = i
+        text = tokens[at]
+        i = at + 1
         if "a" <= text[:1] <= "z":
-            if self.tokens[self.i] != "(":
-                return _mk(NAME, text, ())
-            self.i += 1
-            self.nested(at)
-            args = [self.sum()]
-            while self.tokens[self.i] == ",":
-                self.i += 1
-                args.append(self.sum())
-            self.expect(")")
-            self.depth -= 1
-            arity = CONSTRUCTOR_ARITY.get(text)
+            if tokens[i] != "(":
+                t = mk(NAME, text, ())
+            else:
+                if len(stack) == MAX_DEPTH:
+                    raise _Failure("term nested too deep to parse", at)
+                stack.append((text, at, [], sums, prods))
+                sums, prods = [], []
+                i += 1
+                continue
+        elif text[:1] == "?" and len(text) > 1:
+            t = mk(VAR, text[1:], ())
+        elif text == "0" or text == "1":
+            t = mk(EAPP, text, ())
+        elif text == "(":
+            if len(stack) == MAX_DEPTH:
+                raise _Failure("term nested too deep to parse", at)
+            stack.append((None, at, None, sums, prods))
+            sums, prods = [], []
+            continue
+        else:
+            raise _Failure(f"unexpected {text or 'end of input'!r}", at)
+        # t is a whole atom: close every level the next token ends
+        while True:
+            op = tokens[i]
+            if op == "*":
+                prods.append(t)
+                i += 1
+                break
+            if prods:
+                prods.append(t)
+                t = eapp("*", prods)
+                prods = []
+            if op == "+":
+                sums.append(t)
+                i += 1
+                break
+            if sums:
+                sums.append(t)
+                t = eapp("+", sums)
+                sums = []
+            # t is a whole sum
+            if not stack:
+                if op:
+                    raise _Failure(f"unexpected trailing input {op!r}", i)
+                return t
+            head, at, args, sums, prods = stack[-1]
+            if op == "," and head is not None:
+                args.append(t)
+                sums, prods = [], []
+                i += 1
+                break
+            if op != ")":
+                raise _Failure(f"expected ')', found {op or 'end of input'!r}", i)
+            i += 1
+            stack.pop()
+            if head is None:
+                continue  # (sum) is an atom of the level around it
+            args.append(t)
+            arity = CONSTRUCTOR_ARITY.get(head)
             if arity is not None:
                 if len(args) != arity:
-                    raise _Failure(f"{text} expects {arity} arguments, got {len(args)}", at)
-                return _mk(CAPP, text, tuple(args))
-            if text == "inv":
+                    raise _Failure(f"{head} expects {arity} arguments, got {len(args)}", at)
+                t = mk(CAPP, head, tuple(args))
+            elif head == "inv":
                 if len(args) != 1:
                     raise _Failure(f"inv expects 1 argument, got {len(args)}", at)
-                return eapp("inv", args)
-            raise _Failure(f"unknown function {text!r}", at)
-        if text[:1] == "?" and len(text) > 1:
-            return var(text[1:])
-        if text == "0" or text == "1":
-            return eapp(text, ())
-        if text == "(":
-            self.nested(at)
-            t = self.sum()
-            self.expect(")")
-            self.depth -= 1
-            return t
-        raise _Failure(f"unexpected {text or 'end of input'!r}", at)
+                t = mk(EAPP, "inv", (args[0],))
+            else:
+                raise _Failure(f"unknown function {head!r}", at)
+
+
+def _parse_error(text: str, message: str, index: int) -> ParseError:
+    """The error to report for a failure at token ``index`` of ``text``.
+
+    A character that starts no token is reported before any other error.
+    """
+    columns = []
+    for m in _TOKEN.finditer(text):
+        token = m.group(1)
+        if len(token) == 1 and token not in _ONE_CHAR_TOKENS:
+            return ParseError(f"unexpected character {token!r}", m.start(1))
+        columns.append(m.start(1))
+    columns.append(len(text))
+    return ParseError(message, columns[index])
 
 
 def parse_term(text: str) -> Term:
     """Parse the concrete term grammar; raises ParseError with a column.
 
-    The text is split into tokens by one regular-expression scan.  A term
-    nested more than MAX_DEPTH levels deep is an error in the input, and so
-    is one that the interpreter's recursion limit stops first.
+    The text is split into tokens by one regular-expression scan and parsed
+    in one loop over them.  A term nested more than MAX_DEPTH levels deep is
+    an error in the input.
     """
-    parser = _Parser(_TOKEN.findall(text) + [""])
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     try:
-        return parser.parse()
+        return _parse_tokens(tokens)
     except _Failure as e:
-        failure = e
-    except RecursionError:
-        failure = _Failure("term nested too deep to parse",
-                           min(parser.i, len(parser.tokens) - 1))
-    # a character that starts no token is reported before any other error
-    columns = []
-    for m in _TOKEN.finditer(text):
-        token = m.group(1)
-        if len(token) == 1 and token not in _ONE_CHAR_TOKENS:
-            raise ParseError(f"unexpected character {token!r}", m.start(1)) from None
-        columns.append(m.start(1))
-    columns.append(len(text))
-    raise ParseError(failure.message, columns[failure.index]) from None
+        message, index = e.message, e.index
+    # raised outside the handler, so the error holds no parser frame
+    raise _parse_error(text, message, index)
 
 
 _PRECEDENCE = {"+": 1, "*": 2}

@@ -38,6 +38,10 @@ and rebuilds its continuation's N proof over the smaller Gamma below every
 cut and left rule (_regraft); the second normalizes Gamma at every N node
 and copies premises into a larger Gamma with weaken.  height measures a
 derivation for the weaken tests.
+
+reference_parse_term is the recursive-descent parser that terms.parse_term's
+token loop replaced: one method call per grammar level and node, with the
+same messages, columns and depth bound.
 """
 from __future__ import annotations
 
@@ -50,12 +54,12 @@ from intruder.constraints import (ConstraintSystem, Solution, Substitution, _app
                                   well_formed)
 from intruder.elementary import ElemWitness
 from intruder.engine import _apply_left, _linear_proof, _right, _rules_for
-from intruder import proofs
 from intruder.proofs import S_LEFT_RULES, Derivation, Sequent
 from intruder.rewriting import (Abstraction, Theory, as_theories, normalize,
                                 theory_vector, vector_term)
-from intruder.terms import (AC_SYMBOLS, CAPP, EAPP, VAR, Term, capp, e_factors,
-                            eapp, sign, subterms)
+from intruder import proofs, terms
+from intruder.terms import (AC_SYMBOLS, CAPP, CONSTRUCTOR_ARITY, EAPP, MAX_DEPTH, NAME,
+                            VAR, Term, capp, e_factors, eapp, sign, subterms, var)
 
 
 def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
@@ -794,3 +798,106 @@ def _s2n_node(d: Derivation, theories, memo: dict) -> Derivation:
                              (nd_id(g, principal), side))
         return _regraft(body, g, {unblinded: payload, r: side}, {})
     raise ValueError(f"unknown S rule {rule!r}")
+
+
+# --- reference term parser -------------------------------------------------------
+
+
+class _Parser:
+    """Recursive descent over the token strings, ending in "" (end of input).
+
+    sum := product ('+' product)*, product := atom ('*' atom)*; an atom not
+    followed by + or * is returned without entering the operator levels.
+    """
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0
+
+    def parse(self) -> Term:
+        t = self.sum()
+        if self.tokens[self.i]:
+            raise terms._Failure(f"unexpected trailing input {self.tokens[self.i]!r}", self.i)
+        return t
+
+    def expect(self, value: str) -> None:
+        text = self.tokens[self.i]
+        if text != value:
+            raise terms._Failure(f"expected {value!r}, found {text or 'end of input'!r}",
+                                 self.i)
+        self.i += 1
+
+    def sum(self) -> Term:
+        t = self.atom()
+        op = self.tokens[self.i]
+        if op != "+" and op != "*":
+            return t
+        parts = [self.product(t)]
+        while self.tokens[self.i] == "+":
+            self.i += 1
+            parts.append(self.product(self.atom()))
+        return parts[0] if len(parts) == 1 else eapp("+", parts)
+
+    def product(self, first: Term) -> Term:
+        parts = [first]
+        while self.tokens[self.i] == "*":
+            self.i += 1
+            parts.append(self.atom())
+        return parts[0] if len(parts) == 1 else eapp("*", parts)
+
+    def nested(self, at: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise terms._Failure("term nested too deep to parse", at)
+
+    def atom(self) -> Term:
+        at = self.i
+        text = self.tokens[at]
+        self.i = at + 1
+        if "a" <= text[:1] <= "z":
+            if self.tokens[self.i] != "(":
+                return terms._mk(NAME, text, ())
+            self.i += 1
+            self.nested(at)
+            args = [self.sum()]
+            while self.tokens[self.i] == ",":
+                self.i += 1
+                args.append(self.sum())
+            self.expect(")")
+            self.depth -= 1
+            arity = CONSTRUCTOR_ARITY.get(text)
+            if arity is not None:
+                if len(args) != arity:
+                    raise terms._Failure(f"{text} expects {arity} arguments, got {len(args)}",
+                                         at)
+                return terms._mk(CAPP, text, tuple(args))
+            if text == "inv":
+                if len(args) != 1:
+                    raise terms._Failure(f"inv expects 1 argument, got {len(args)}", at)
+                return eapp("inv", args)
+            raise terms._Failure(f"unknown function {text!r}", at)
+        if text[:1] == "?" and len(text) > 1:
+            return var(text[1:])
+        if text == "0" or text == "1":
+            return eapp(text, ())
+        if text == "(":
+            self.nested(at)
+            t = self.sum()
+            self.expect(")")
+            self.depth -= 1
+            return t
+        raise terms._Failure(f"unexpected {text or 'end of input'!r}", at)
+
+
+def reference_parse_term(text: str) -> Term:
+    """terms.parse_term by recursive descent: the same term or the same error."""
+    parser = _Parser(terms._TOKEN.findall(text) + [""])
+    try:
+        return parser.parse()
+    except terms._Failure as e:
+        message, index = e.message, e.index
+    except RecursionError:
+        message, index = ("term nested too deep to parse",
+                          min(parser.i, len(parser.tokens) - 1))
+    raise terms._parse_error(text, message, index)

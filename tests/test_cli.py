@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from test_proofs import _doubling_nd_proof
 from intruder import cli, constraints, engine, proofs
 from intruder.proofs import dumps, linear_to_seq, loads, seq_to_nd
 from intruder.rewriting import make_theories
-from intruder.terms import format_term, name, parse_term
+from intruder.terms import Term, format_term, name, parse_term
 
 AC_PROBLEM = """
 # worked example
@@ -565,6 +566,71 @@ def test_nd2seq_then_check_pipeline(tmp_path, capsys):
                          "--theory", "empty"]) == 0
         capsys.readouterr()
         done += 1
+
+
+# one derivable and one underivable problem per theory; each derivable one
+# needs a side condition of its theory (the ac one runs the natural-number
+# solver)
+_PROBLEMS_BY_THEORY = {
+    "empty": ("knows: k0, enc(k1, k0), sign(blind(m, r), s), pub(s), r\n"
+              "goal: pair(k1, sign(m, s))\n",
+              "knows: enc(a, k), sign(b, s)\ngoal: pair(a, b)\n"),
+    "xor": ("knows: a+b, b+c, enc(s, a+c)\ngoal: s\n",
+            "knows: a+b, enc(s, a+c)\ngoal: s\n"),
+    "ag": ("knows: a+b, b, enc(s, a+inv(b))\ngoal: s\n",
+           "knows: a+b, enc(s, a)\ngoal: s\n"),
+    "ac": ("knows: a, b, enc(s, a+b+b)\ngoal: pair(s, a+a)\n",
+           "knows: a+b, enc(s, a)\ngoal: s\n"),
+}
+_CONSTRAINT_FILES = (
+    "public a\na, enc(n1, a) |-R ?x\na, enc(n1, a), enc(s, pair(?x, n1)) |- s\n",
+    "public a\na, enc(n1, k) |-R ?x\na, enc(n1, k), enc(s, pair(?x, n1)) |- s\n",
+)
+
+
+def test_no_subcommand_leaves_terms_in_cyclic_garbage(tmp_path, capsys):
+    """Every term a call builds is freed by reference counting.
+
+    With the cyclic collector off and DEBUG_SAVEALL on, a collection after
+    the calls keeps every object it finds unreachable in gc.garbage; a term
+    there was kept alive by a reference cycle, not by a user.
+    """
+    def run(*argv):
+        status = cli.main(list(argv))
+        return status, capsys.readouterr().out
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for theory, (derivable, underivable) in _PROBLEMS_BY_THEORY.items():
+            header = f"theory: {theory}\n"
+            assert run("deduce", "--input", write(tmp_path, header + underivable))[0] == 1
+            status, l_proof = run("deduce", "--input", write(tmp_path, header + derivable),
+                                  "--emit-proof", "json")
+            assert status == 0
+            l_path = write(tmp_path, l_proof, "l.json")
+            assert run("check", "--proof", l_path, "--theory", theory)[0] == 0
+            status, n_proof = run("translate", "--proof", l_path, "--direction", "seq2nd",
+                                  "--theory", theory)
+            assert status == 0
+            n_path = write(tmp_path, n_proof, "n.json")
+            status, s_proof = run("translate", "--proof", n_path, "--direction", "nd2seq",
+                                  "--theory", theory)
+            assert status == 0
+            assert run("check", "--proof", write(tmp_path, s_proof, "s.json"),
+                       "--theory", theory)[0] == 0
+        for expect, text in enumerate(_CONSTRAINT_FILES):
+            assert run("constraints", "--input", write(tmp_path, text))[0] == expect
+        gc.collect()
+        kept = [o for o in gc.garbage if isinstance(o, Term)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert kept == []
 
 
 def test_print_parse_round_trip_random():

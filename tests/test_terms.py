@@ -1,10 +1,14 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from conftest import gen_ground, gen_sigma_term, gen_wf_system
-from oracles import proper_subterms, recursive_size, saturate, walked_variables
+from oracles import (proper_subterms, recursive_size, reference_parse_term, saturate,
+                     walked_variables)
+from intruder import terms
 from intruder.engine import deduce
 from intruder.rewriting import (ag_theory, empty_theory, make_theories, normalize,
                                 xor_theory)
@@ -301,3 +305,148 @@ def test_e_factors_respects_theory_signature():
     t = eapp("*", (a, pair(b, c)))
     assert e_factors(t, XOR) == frozenset()
     assert e_factors(enc(t, k), xor_theory("*")) == {pair(b, c)}
+
+
+# --- the token loop against the recursive reference ---------------------------
+
+_PIECES = ("a", "b1", "k_x", "?x", "?y", "0", "1", "pub", "sign", "pair", "enc", "blind",
+           "inv", "f", "(", ")", ",", "+", "*", " ", "?", "U", "#", "")
+
+
+def _gen_text(rng, depth=3):
+    """A term in concrete syntax, with spaces and redundant parentheses."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        return rng.choice(("a", "b1", "k_x", "?x", "?y", "0", "1"))
+    if roll < 0.45:
+        op = rng.choice(" + * ".split())
+        return op.join(_gen_text(rng, depth - 1) for _ in range(rng.randint(2, 3)))
+    if roll < 0.55:
+        return f"({_gen_text(rng, depth - 1)})"
+    if roll < 0.65:
+        return f"inv({_gen_text(rng, depth - 1)})"
+    head = rng.choice(("pub", "sign", "pair", "enc", "blind"))
+    n = 1 if head == "pub" else 2
+    return f"{head}({', '.join(_gen_text(rng, depth - 1) for _ in range(n))})"
+
+
+def _mutate(rng, text):
+    """Delete, insert or replace a few pieces of a valid text."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(chars))
+        roll = rng.random()
+        if roll < 0.4 and at < len(chars):
+            del chars[at]
+        elif roll < 0.7 or at == len(chars):
+            chars[at:at] = rng.choice(_PIECES)
+        else:
+            chars[at] = rng.choice(_PIECES)
+    return "".join(chars)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e)
+
+
+def test_parse_term_agrees_with_the_recursive_reference():
+    rng = random.Random(15)
+    nested = ["pair(" * d + "a" + ", a)" * d for d in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1)]
+    nested += ["(" * d + "a" + ")" * d for d in (MAX_DEPTH, MAX_DEPTH + 1)]
+    texts = nested + [_gen_text(rng) for _ in range(1500)]
+    texts += [_mutate(rng, _gen_text(rng)) for _ in range(3000)]
+    errors = 0
+    for text in texts:
+        got, want = _outcome(parse_term, text), _outcome(reference_parse_term, text)
+        assert got is want or (isinstance(got, str) and got == want), text
+        errors += isinstance(got, str)
+    assert 1000 < errors < len(texts) - 1500  # both outcomes are well covered
+
+
+# --- weak hash-consing -------------------------------------------------------
+
+
+def _live_entries():
+    return sum(ref() is not None for ref in list(terms._intern.values()))
+
+
+def test_a_live_term_is_shared_by_a_fresh_parse():
+    t = parse_term("enc(pair(live_a, live_b), live_a + live_k)")
+    assert parse_term("enc( pair(live_a,live_b), (live_k + live_a) )") is t
+    assert enc(pair(name("live_a"), name("live_b")), plus(name("live_k"), name("live_a"))) is t
+
+
+def test_the_table_shrinks_when_the_last_reference_goes():
+    before = len(terms._intern)
+    t = parse_term("sign(blind(gone_m, gone_r), gone_s) + pair(gone_m, gone_m)")
+    assert len(terms._intern) == before + 7
+    kept = parse_term("blind(gone_m, gone_r)")  # outlives the term it came from
+    assert kept in t.args[1].args
+    del t
+    assert len(terms._intern) == before + 3
+    del kept
+    assert len(terms._intern) == before
+    assert _live_entries() == len(terms._intern)  # no dead entry is left behind
+
+
+def test_a_late_callback_leaves_a_new_entry_alone():
+    # another thread can rebuild a term between its death and its callback;
+    # the dead entry's callback then runs with the new entry in its slot
+    t = parse_term("pair(late_a, late_b)")
+    ident = (t.kind, t.sym, t.args)
+    stale = terms._intern[ident]
+    del t
+    assert stale() is None and ident not in terms._intern
+    t = parse_term("pair(late_a, late_b)")
+    terms._drop(stale)
+    assert terms._intern[ident]() is t
+    assert parse_term("pair(late_a,late_b)") is t
+
+
+def test_variables_stay_interned():
+    before = len(terms._intern)
+    x = parse_term("pair(?pinned_x, gone_a)").args[0]
+    assert len(terms._intern) == before + 1
+    ident = id(x)
+    del x
+    assert id(var("pinned_x")) == ident
+
+
+def test_four_threads_share_one_term_per_structure():
+    """Threads intern overlapping terms, dropping and rebuilding them as they go."""
+    structures = [f"enc(pair(th_{j % 7}, th_{j % 5}), th_{j % 3} + th_{j})" for j in range(60)]
+    results: list[list] = [None] * 4
+    start = threading.Barrier(4)
+
+    def work(k):
+        rng = random.Random(k)
+        order = list(range(len(structures)))
+        start.wait(timeout=60)
+        for _ in range(30):  # rounds of build and drop, so entries die and come back
+            rng.shuffle(order)
+            for j in order[:20]:
+                parse_term(structures[j])
+        rng.shuffle(order)
+        built = {j: parse_term(structures[j]) for j in order}
+        results[k] = [built[j] for j in range(len(structures))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(r is not None for r in results)  # no thread raised
+    for j, text in enumerate(structures):
+        t = results[0][j]
+        assert all(r[j] is t for r in results), text
+        assert parse_term(text) is t
+    assert _live_entries() == len(terms._intern)
