@@ -30,7 +30,7 @@ def main():
     print(render_text(lin))
 
     banner("expanded sequent derivation")
-    seq = linear_to_seq(lin, theories)
+    seq = linear_to_seq(lin)
     assert find_error(seq, theories) is None
     print(render_text(seq))
     print("normal derivation:", is_normal_derivation(seq))

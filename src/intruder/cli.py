@@ -199,11 +199,9 @@ def cmd_translate(args) -> int:
         proof = proofs.loads(_read(args.proof))
     except ValueError as e:
         raise InputError(str(e)) from None
-    if proof.system == "L":
-        # nd_to_seq and seq_to_nd check their own input; linear_to_seq does not
-        err = proofs.find_error(proof, theories)
-        if err is not None:
-            raise InputError(f"input proof is invalid: {err}")
+    err = proofs.find_error(proof, theories)
+    if err is not None:
+        raise InputError(f"input proof is invalid: {err}")
     try:
         out = _translate(proof, args.direction, theories)
     except ValueError as e:
@@ -223,7 +221,7 @@ def _translate(proof: proofs.Derivation, direction: str, theories) -> proofs.Der
     if direction == "seq2nd":
         # a linear proof is read as the sequent proof it abbreviates
         if proof.system == "L":
-            proof = proofs.linear_to_seq(proof, theories)
+            proof = proofs.linear_to_seq(proof)
         if proof.system != "S":
             raise ValueError(f"seq2nd expects a sequent proof, got {proof.system}")
         return proofs.seq_to_nd(proof, theories)

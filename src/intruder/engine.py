@@ -8,6 +8,8 @@ resulting one-branch derivation, each side condition proved by the right
 proof it embeds. It works from a queue of left-rule candidates, each made
 once, when its term enters the context; a candidate whose side condition
 fails is parked until the context grows in a way that can change the answer.
+What a left rule needs and adds is read from proofs.left_parts, the one
+definition of the rules that the checker and the translations also read.
 The slow references the engine is tested against (the full-rescan sweep the
 worklist replaced, and a closure over the natural-deduction rules) are in
 tests/oracles.py.
@@ -20,11 +22,9 @@ from random import Random
 from typing import Iterable
 
 from .elementary import elem_deduce
-from .proofs import Derivation, Sequent
+from .proofs import _RIGHT_FOR, Derivation, Sequent, left_parts
 from .rewriting import Abstraction, as_theories, normalize
-from .terms import CAPP, Term, capp, e_factors, sign, subterms
-
-_RIGHT_RULE = {"pair": "p_R", "enc": "e_R", "sign": "sign_R", "blind": "blind_R"}
+from .terms import CAPP, Term, e_factors, subterms
 
 
 def right_deduce(gamma: Iterable[Term], goal: Term, theories,
@@ -54,12 +54,12 @@ def _right(gamma, goal, theories, table, memo):
             found = Derivation("S", "id", Sequent(gamma, goal), (),
                                {"witness": w, "theory": th.name})
             break
-    if found is None and goal.kind == CAPP and goal.sym in _RIGHT_RULE:
+    if found is None and goal.kind == CAPP and goal.sym in _RIGHT_FOR:
         left = _right(gamma, goal.args[0], theories, table, memo)
         if left is not None:
             right = _right(gamma, goal.args[1], theories, table, memo)
             if right is not None:
-                found = Derivation("S", _RIGHT_RULE[goal.sym], Sequent(gamma, goal),
+                found = Derivation("S", _RIGHT_FOR[goal.sym], Sequent(gamma, goal),
                                    (left, right))
     memo[key] = found
     return found
@@ -85,65 +85,27 @@ def _rules_for(t: Term):
 
 
 def _apply_left(rule: str, principal: Term, gamma: frozenset[Term], goal: Term,
-                theories, table, memo):
+                theories, table, memo, parts=None):
     """(added terms, side proof or None) when the rule fires, else None.
 
     For the principal-based rules the principal must already be in gamma; for
     ls the principal is the alien factor being abstracted into the context.
+    parts is left_parts(rule, principal), when the caller has it already.
     """
-    if rule == "ls":
-        if principal in gamma:
-            return None
-        side = _right(gamma, principal, theories, table, memo)
-        if side is None:
-            return None
-        return (principal,), side
-    if principal not in gamma:
+    if (principal in gamma) == (rule == "ls"):
         return None
-    if rule == "lp":
-        return principal.args, None
-    if rule == "le":
-        payload, key = principal.args
-        side = _right(gamma, key, theories, table, memo)
-        if side is None:
-            return None
-        return (payload, key), side
-    if rule == "sign":
-        payload, key = principal.args
-        if capp("pub", (key,)) not in gamma:
-            return None
-        return (payload,), None
-    if rule == "blind1":
-        payload, factor = principal.args
-        side = _right(gamma, factor, theories, table, memo)
-        if side is None:
-            return None
-        return (payload, factor), side
-    if rule == "blind2":
-        blinded, key = principal.args
-        payload, factor = blinded.args
-        side = _right(gamma, factor, theories, table, memo)
-        if side is None:
-            return None
-        return (sign(payload, key), factor), side
-    raise ValueError(f"unknown left rule {rule!r}")
+    side, added, held = parts or left_parts(rule, principal)
+    if held is not None and held not in gamma:
+        return None
+    if side is None:
+        return added, None
+    proof = _right(gamma, side, theories, table, memo)
+    if proof is None:
+        return None
+    return added, proof
 
 
 # --- saturation by worklist -------------------------------------------------------
-
-
-def _side_goal(rule: str, principal: Term) -> Term:
-    """The term whose deducibility from the context gates the rule.
-
-    For sign it is pub(k), which must be a member of the context.
-    """
-    if rule == "ls":
-        return principal
-    if rule == "sign":
-        return capp("pub", (principal.args[1],))
-    if rule == "blind2":
-        return principal.args[0].args[1]
-    return principal.args[1]  # le, blind1
 
 
 def _linear_proof(steps, delta: frozenset[Term], goal: Term,
@@ -199,6 +161,7 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
     equational = [(i, th) for i, th in enumerate(theories) if th.symbols]
     free = not equational
     place: dict[tuple, tuple] = {}   # candidate -> its place in the current pass
+    parts: dict[tuple, tuple] = {}   # candidate -> left_parts of its rule
     earlier: dict[tuple, tuple] = {}  # ls candidate -> its place from the next pass
     tick = itertools.count()
     done: set[tuple] = set()
@@ -212,6 +175,7 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
             for i, rule in enumerate(_rules_for(t)):
                 cand = (rule, t, None)
                 place[cand] = (0, t.key, i)
+                parts[cand] = left_parts(rule, t)
                 out.append(cand)
         for i, th in equational:
             for t in sorted(hosts, key=lambda u: u.key):  # a factor's first host
@@ -222,6 +186,7 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
                     at = (1, i, t.key, a.key)
                     if cand not in place:
                         place[cand] = at
+                        parts[cand] = left_parts("ls", a)
                         out.append(cand)
                     elif rng is None and at < earlier.get(cand, place[cand]):
                         earlier[cand] = at
@@ -234,7 +199,8 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
     def park(cand: tuple) -> None:
         parked.add(cand)
         if free:
-            for u in subterms(_side_goal(cand[0], cand[1])) - delta:
+            side, _, held = parts[cand]
+            for u in subterms(held if side is None else side) - delta:
                 waiting.setdefault(u, []).append(cand)
 
     def wake(new: frozenset[Term]) -> list[tuple]:
@@ -260,7 +226,8 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
             if cand in done:
                 continue
             rule, principal, th_name = cand
-            hit = _apply_left(rule, principal, delta, goal, theories, table, memo)
+            hit = _apply_left(rule, principal, delta, goal, theories, table, memo,
+                              parts[cand])
             if hit is None:
                 park(cand)
                 continue

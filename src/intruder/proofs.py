@@ -8,6 +8,11 @@ ls) carries in aux["right"] an S proof of it built from id and right rules
 alone, which the checker verifies like any other S derivation.  An L proof
 with its right proofs is thus a complete S derivation, and linear_to_seq
 only rearranges it.
+
+Each left rule is defined once, by left_parts: the side term it needs, the
+terms it adds to Gamma and the term Gamma must hold.  The checker, the
+translations and the engine all read the rules from there, and LEFT_RULES
+names each rule in N, S and L.  The translations take checked input.
 """
 from __future__ import annotations
 
@@ -39,15 +44,31 @@ class Derivation:
     aux: dict = field(default_factory=dict)
 
 
-N_RULES = {"id", "e_E", "e_I", "p_E", "p_I", "sign_E", "sign_I",
-           "blind_E1", "blind_E2", "blind_I", "f_I", "approx"}
+# Each left rule of S, and of L, is an elimination rule of N read upwards.
+# A row names one rule in N, S and L by what it takes apart; acut and ls
+# abstract an alien factor and have no N rule.
+LEFT_RULES = (
+    # kind        N           S           L
+    ("pair",     "p_E",      "p_L",      "lp"),
+    ("enc",      "e_E",      "e_L",      "le"),
+    ("sign",     "sign_E",   "sign_L",   "sign"),
+    ("blind",    "blind_E1", "blind_L1", "blind1"),
+    ("unblind",  "blind_E2", "blind_L2", "blind2"),
+    ("abstract", None,       "acut",     "ls"),
+)
+_LEFT_KIND = {name: row[0] for row in LEFT_RULES for name in row[1:] if name is not None}
+_L_TO_S = {l_rule: s_rule for _, _, s_rule, l_rule in LEFT_RULES}
+_N_TO_S = {n_rule: s_rule for _, n_rule, s_rule, _ in LEFT_RULES if n_rule is not None}
+_S_TO_N = {s_rule: n_rule for n_rule, s_rule in _N_TO_S.items()}
+
+N_RULES = {"id", "e_I", "p_I", "sign_I", "blind_I", "f_I", "approx"} | set(_N_TO_S)
 S_RIGHT_RULES = {"p_R", "e_R", "sign_R", "blind_R"}
-S_LEFT_RULES = {"p_L", "e_L", "sign_L", "blind_L1", "blind_L2", "acut"}
+S_LEFT_RULES = set(_L_TO_S.values())
 S_RULES = {"id", "cut"} | S_RIGHT_RULES | S_LEFT_RULES
 # every left rule except p_L and sign_L branches: its first premise is a
 # side-condition subproof rather than the continuation
 S_BRANCHING_LEFT = {"e_L", "blind_L1", "blind_L2", "acut"}
-L_RULES = {"r", "lp", "le", "sign", "blind1", "blind2", "ls"}
+L_RULES = {"r"} | set(_L_TO_S)
 
 _RIGHT_FOR = {"pair": "p_R", "enc": "e_R", "sign": "sign_R", "blind": "blind_R"}
 _INTRO_FOR = {"pair": "p_I", "enc": "e_I", "sign": "sign_I", "blind": "blind_I"}
@@ -72,7 +93,7 @@ def find_error(d: Derivation, theories) -> str | None:
     return _Checker(as_theories(theories), d).run()
 
 
-class _CheckFailure(Exception):
+class _CheckFailure(ValueError):
     pass
 
 
@@ -224,38 +245,46 @@ class _Checker:
         return embedded
 
 
-# the left rules of S and L by what they take apart
-_LEFT_KIND = {"p_L": "pair", "lp": "pair", "e_L": "enc", "le": "enc",
-              "sign_L": "sign", "sign": "sign", "blind_L1": "blind", "blind1": "blind",
-              "blind_L2": "unblind", "blind2": "unblind", "acut": "abstract", "ls": "abstract"}
+def left_parts(rule: str, principal: Term) -> tuple[Term | None, tuple[Term, ...], Term | None]:
+    """The one definition of a left rule, named in N, S or L, at a principal:
+    (side, added, held).  side is the term the rule needs right-deducible
+    from Gamma (None for the pair and sign rules), added the terms it adds
+    to Gamma, held the term Gamma must already contain (pub(k) for the sign
+    rules, else None).  For acut and ls the principal is the alien factor
+    abstracted.  A principal of the wrong shape raises ValueError."""
+    kind = _LEFT_KIND[rule]
+    if kind == "abstract":
+        return principal, (principal,), None
+    sym = "sign" if kind == "unblind" else kind
+    if principal.kind != CAPP or principal.sym != sym:
+        _fail(f"principal must be a {sym} term, found {principal}")
+    a, b = principal.args
+    if kind == "pair":
+        return None, (a, b), None
+    if kind == "sign":
+        return None, (a,), capp("pub", (b,))
+    if kind == "unblind":
+        payload, r = _shaped(a, "blind", "signed payload")
+        return r, (sign(payload, b), r), None
+    return b, (a, b), None  # enc(a, key), blind(a, factor)
 
 
 def _left_step(d: Derivation, theories) -> tuple[Term | None, tuple[Term, ...]]:
     """For a left rule of S or L: the side term it needs derived from Gamma
     (None for the pair and sign rules) and the terms it adds to Gamma."""
     g, m = d.conclusion.gamma, d.conclusion.goal
-    kind = _LEFT_KIND[d.rule]
-    if kind == "abstract":
-        a = d.aux.get("abstracted" if d.system == "S" else "principal")
-        if not isinstance(a, Term):
+    if _LEFT_KIND[d.rule] == "abstract":
+        principal = d.aux.get("abstracted" if d.system == "S" else "principal")
+        if not isinstance(principal, Term):
             _fail(f"{d.rule} needs the abstracted term in aux")
-        if not _is_factor(a, g, m, theories):
-            _fail(f"{a} is not an alien factor of the sequent")
-        return a, (a,)
-    principal = _principal(d)
-    if kind == "pair":
-        return None, _shaped(principal, "pair", "principal")
-    if kind == "sign":
-        a, k = _shaped(principal, "sign", "principal")
-        if capp("pub", (k,)) not in g:
-            _fail(f"{d.rule} needs the matching public key in Gamma")
-        return None, (a,)
-    if kind == "unblind":
-        outer = _shaped(principal, "sign", "principal")
-        a, r = _shaped(outer[0], "blind", "signed payload")
-        return r, (sign(a, outer[1]), r)
-    a, side = _shaped(principal, kind, "principal")  # enc(a, key), blind(a, factor)
-    return side, (a, side)
+        if not _is_factor(principal, g, m, theories):
+            _fail(f"{principal} is not an alien factor of the sequent")
+    else:
+        principal = _principal(d)
+    side, added, held = left_parts(d.rule, principal)
+    if held is not None and held not in g:
+        _fail(f"{d.rule} needs the matching public key in Gamma")
+    return side, added
 
 
 def _path(frame: tuple) -> str:
@@ -315,35 +344,18 @@ def _check_n(d: Derivation, theories) -> None:
         a, b = _shaped(m, _INTRO_SYM[rule], "goal")
         if d.premises[0].conclusion.goal is not a or d.premises[1].conclusion.goal is not b:
             _fail(f"premise goals do not match the components of {m}")
-    elif rule == "p_E":
-        _arity(d, 1)
-        a, b = _shaped(d.premises[0].conclusion.goal, "pair", "premise goal")
-        if m is not a and m is not b:
-            _fail(f"goal {m} is not a component of the premise pair")
-    elif rule == "e_E":
-        _arity(d, 2)
-        a, k = _shaped(d.premises[0].conclusion.goal, "enc", "first premise goal")
-        if m is not a or d.premises[1].conclusion.goal is not k:
-            _fail("enc elimination premises do not fit the goal")
-    elif rule == "sign_E":
-        _arity(d, 2)
-        a, k = _shaped(d.premises[0].conclusion.goal, "sign", "first premise goal")
-        want = capp("pub", (k,))
-        if m is not a or d.premises[1].conclusion.goal is not want:
-            _fail("sign elimination needs the matching public key premise")
-    elif rule == "blind_E1":
-        _arity(d, 2)
-        a, r = _shaped(d.premises[0].conclusion.goal, "blind", "first premise goal")
-        if m is not a or d.premises[1].conclusion.goal is not r:
-            _fail("blind elimination premises do not fit the goal")
-    elif rule == "blind_E2":
-        _arity(d, 2)
-        a, k = _shaped(m, "sign", "goal")
-        p1 = d.premises[0].conclusion.goal
-        ba, bk = _shaped(p1, "sign", "first premise goal")
-        br_args = _shaped(ba, "blind", "first premise payload")
-        if bk is not k or br_args[0] is not a or d.premises[1].conclusion.goal is not br_args[1]:
-            _fail("unblinding premises do not fit the goal")
+    elif rule in _N_TO_S:
+        # an elimination: its first premise proves the principal, a second
+        # the side term or the held public key
+        if not d.premises:
+            _fail(f"rule {rule} needs a premise that proves its principal")
+        side, added, held = left_parts(rule, d.premises[0].conclusion.goal)
+        minor = held if side is None else side
+        _arity(d, 1 if minor is None else 2)
+        if m not in (added if side is None else added[:1]):  # the payload, or a component
+            _fail(f"goal {m} is not what {rule} takes out of its first premise")
+        if minor is not None and d.premises[1].conclusion.goal is not minor:
+            _fail(f"the second premise of {rule} must derive {minor}")
     elif rule == "f_I":
         if not d.premises:
             _fail("f_I needs at least one premise (contexts are non-empty)")
@@ -453,7 +465,7 @@ def _unfold(step, node: Derivation, where):
             frames.append((key, step(node, where)))
 
 
-def linear_to_seq(d: Derivation, theories) -> Derivation:
+def linear_to_seq(d: Derivation) -> Derivation:
     """Read an L derivation as the sequent-calculus proof it abbreviates.
 
     Each side condition becomes the right proof its node carries; a node
@@ -491,27 +503,16 @@ def _right_proof(d: Derivation, goal: Term) -> Derivation:
 
 def _linear_step(d: Derivation, cont: Derivation) -> Derivation:
     """The S node for the L left rule d, whose continuation reads as cont."""
-    aux = {k: v for k, v in d.aux.items() if k in ("principal", "theory")}
-    if d.rule == "lp":
-        return Derivation("S", "p_L", d.conclusion, (cont,), aux)
-    if d.rule == "sign":
-        return Derivation("S", "sign_L", d.conclusion, (cont,), aux)
-    if d.rule == "le":
-        key = d.aux["principal"].args[1]
-        return Derivation("S", "e_L", d.conclusion, (_right_proof(d, key), cont), aux)
-    if d.rule == "blind1":
-        factor = d.aux["principal"].args[1]
-        return Derivation("S", "blind_L1", d.conclusion, (_right_proof(d, factor), cont), aux)
-    if d.rule == "blind2":
-        factor = d.aux["principal"].args[0].args[1]
-        return Derivation("S", "blind_L2", d.conclusion, (_right_proof(d, factor), cont), aux)
-    if d.rule == "ls":
-        a = d.aux["principal"]
-        aux = {"abstracted": a}
-        if "theory" in d.aux:
-            aux["theory"] = d.aux["theory"]
-        return Derivation("S", "acut", d.conclusion, (_right_proof(d, a), cont), aux)
-    raise ValueError(f"unknown L rule {d.rule!r}")
+    rule = _L_TO_S.get(d.rule)
+    if rule is None:
+        raise ValueError(f"unknown L rule {d.rule!r}")
+    principal = d.aux["principal"]
+    aux = {"abstracted" if rule == "acut" else "principal": principal}
+    if "theory" in d.aux:
+        aux["theory"] = d.aux["theory"]
+    side = left_parts(d.rule, principal)[0]
+    premises = (cont,) if side is None else (_right_proof(d, side), cont)
+    return Derivation("S", rule, d.conclusion, premises, aux)
 
 
 def nd_to_seq(d: Derivation, theories) -> Derivation:
@@ -524,9 +525,6 @@ def nd_to_seq(d: Derivation, theories) -> Derivation:
     premises for those of an f_I fold.
     """
     theories = as_theories(theories)
-    err = find_error(d, theories)
-    if err is not None:
-        raise ValueError(f"input proof is invalid: {err}")
     gamma = frozenset(normalize(t, theories) for t in d.conclusion.gamma)
     return _unfold(lambda node, g: _n2s(node, g, theories), d, gamma)
 
@@ -546,7 +544,13 @@ def _cut(left: Derivation, right: Derivation) -> Derivation:
 
 
 def _n2s(d: Derivation, g: frozenset[Term], theories):
-    """The S translation of d over Gamma g, as a step for _unfold."""
+    """The S translation of d over Gamma g, as a step for _unfold.
+
+    An elimination becomes a cut of its major premise into the S left rule
+    of the same row of LEFT_RULES, whose minor premise is translated over
+    Gamma plus the principal.  The minor premise of sign_E proves the held
+    public key, which is cut in below the left rule.
+    """
     m = normalize(d.conclusion.goal, theories)
     rule = d.rule
     if rule == "id":
@@ -562,38 +566,15 @@ def _n2s(d: Derivation, g: frozenset[Term], theories):
     big = yield d.premises[0], g
     principal = big.conclusion.goal
     g1 = g | {principal}
-    if rule == "p_E":
-        a, b = principal.args
-        inner = Derivation("S", "p_L", Sequent(g1, m),
-                           (_id_node(g1 | {a, b}, m, theories),),
-                           {"principal": principal})
-        return _cut(big, inner)
-    side = yield d.premises[1], g1
-    if rule == "e_E":
-        a, k = principal.args
-        inner = Derivation("S", "e_L", Sequent(g1, m),
-                           (side, _id_node(g1 | {a, k}, m, theories)),
-                           {"principal": principal})
-        return _cut(big, inner)
-    if rule == "sign_E":
-        g2 = g1 | {side.conclusion.goal}
-        inner = Derivation("S", "sign_L", Sequent(g2, m),
-                           (_id_node(g2 | {m}, m, theories),),
-                           {"principal": principal})
-        return _cut(big, _cut(side, inner))
-    if rule == "blind_E1":
-        a, r = principal.args
-        inner = Derivation("S", "blind_L1", Sequent(g1, m),
-                           (side, _id_node(g1 | {a, r}, m, theories)),
-                           {"principal": principal})
-        return _cut(big, inner)
-    if rule == "blind_E2":
-        r = side.conclusion.goal
-        inner = Derivation("S", "blind_L2", Sequent(g1, m),
-                           (side, _id_node(g1 | {m, r}, m, theories)),
-                           {"principal": principal})
-        return _cut(big, inner)
-    raise ValueError(f"unknown N rule {rule!r}")
+    side, added, held = left_parts(rule, principal)
+    minor = (yield d.premises[1], g1) if len(d.premises) > 1 else None
+    over = g1 if held is None else g1 | {held}
+    cont = _id_node(over.union(added), m, theories)
+    inner = Derivation("S", _N_TO_S[rule], Sequent(over, m),
+                       (cont,) if side is None else (minor, cont), {"principal": principal})
+    if held is not None:
+        inner = _cut(minor, inner)
+    return _cut(big, inner)
 
 
 def _n2s_fi(d: Derivation, g: frozenset[Term], m: Term, theories):
@@ -617,18 +598,14 @@ def _n2s_fi(d: Derivation, g: frozenset[Term], m: Term, theories):
 def _fold_witness(th: Theory, sym: str, goals: list[Term]) -> ElemWitness:
     if th.backend == "xor":
         return ElemWitness(th.name, "xor", tuple(goals))
-    if th.backend == "ac":
+    if th.backend == "ag" and sym == "inv":
+        return ElemWitness(th.name, "ag", ((goals[0], -1),))
+    if th.backend in ("ac", "ag"):
         counts: dict[Term, int] = {}
         for t in goals:
             counts[t] = counts.get(t, 0) + 1
-        return ElemWitness(th.name, "ac", tuple(sorted(counts.items(), key=lambda kv: kv[0].key)))
-    if th.backend == "ag":
-        if sym == "inv":
-            return ElemWitness(th.name, "ag", ((goals[0], -1),))
-        counts = {}
-        for t in goals:
-            counts[t] = counts.get(t, 0) + 1
-        return ElemWitness(th.name, "ag", tuple(sorted(counts.items(), key=lambda kv: kv[0].key)))
+        entries = tuple(sorted(counts.items(), key=lambda kv: kv[0].key))
+        return ElemWitness(th.name, th.backend, entries)
     raise ValueError(f"theory {th.name!r} has no equational fold")
 
 
@@ -644,9 +621,6 @@ def seq_to_nd(d: Derivation, theories) -> Derivation:
     in tests/oracles.py shares.
     """
     theories = as_theories(theories)
-    err = find_error(d, theories)
-    if err is not None:
-        raise ValueError(f"input proof is invalid: {err}")
     return _unfold(_SeqToNd(d.conclusion.gamma, theories).step, d, 0)
 
 
@@ -679,36 +653,23 @@ class _SeqToNd:
             right = yield d.premises[1], scope
             return Derivation("N", _INTRO_FOR[_RIGHT_SYM[rule]], Sequent(g0, m), (left, right))
         # a cut or left rule: bind what it adds, then translate its continuation
-        principal = d.aux.get("principal")
+        side = None
         if rule == "cut" or rule in S_BRANCHING_LEFT:
             side = yield d.premises[0], scope
         if rule in ("cut", "acut"):
             binds = {d.premises[0].conclusion.goal: side}
-        elif rule == "p_L":
-            a, b = principal.args
-            binds = {a: Derivation("N", "p_E", Sequent(g0, a), (self.leaf(principal),)),
-                     b: Derivation("N", "p_E", Sequent(g0, b), (self.leaf(principal),))}
-        elif rule == "e_L":
-            a, k = principal.args
-            binds = {a: Derivation("N", "e_E", Sequent(g0, a), (self.leaf(principal), side)),
-                     k: side}
-        elif rule == "sign_L":
-            a, k = principal.args
-            binds = {a: Derivation("N", "sign_E", Sequent(g0, a),
-                                   (self.leaf(principal), self.leaf(capp("pub", (k,)))))}
-        elif rule == "blind_L1":
-            a, r = principal.args
-            binds = {a: Derivation("N", "blind_E1", Sequent(g0, a), (self.leaf(principal), side)),
-                     r: side}
-        elif rule == "blind_L2":
-            blinded, k = principal.args
-            a, r = blinded.args
-            unblinded = sign(a, k)
-            binds = {unblinded: Derivation("N", "blind_E2", Sequent(g0, unblinded),
-                                           (self.leaf(principal), side)),
-                     r: side}
         else:
-            raise ValueError(f"unknown S rule {rule!r}")
+            # the side term is bound to its proof; every other added term to
+            # an elimination of the principal, each with a leaf of its own
+            principal = d.aux["principal"]
+            side_term, added, held = left_parts(rule, principal)
+            minor = () if held is None else (self.leaf(held),)
+            if side is not None:
+                minor = (side,)
+            binds = {}
+            for t in added:
+                binds[t] = side if t is side_term else Derivation(
+                    "N", _S_TO_N[rule], Sequent(g0, t), (self.leaf(principal), *minor))
         g = d.conclusion.gamma
         new = [t for t in binds if t not in g]
         for t in new:

@@ -89,7 +89,7 @@ def assert_structural(d, theories):
         assert not stray, f"sequent {seq!r} leaves the saturated set: {stray}"
     assert left_rule_count(d) <= idx.size, \
         f"{left_rule_count(d)} left rules > {idx.size} saturated nodes"
-    s = linear_to_seq(d, theories)
+    s = linear_to_seq(d)
     err = find_error(s, theories)
     assert err is None, err
     assert is_normal_derivation(s)

@@ -189,7 +189,7 @@ def test_criterion_07(capsys):
             d = deduce(gamma, goal, ths)
             if d is None:
                 continue
-            s = linear_to_seq(d, ths)
+            s = linear_to_seq(d)
             assert find_error(s, ths) is None
             nd = seq_to_nd(s, ths)
             assert find_error(nd, ths) is None

@@ -12,7 +12,8 @@ import pytest
 from conftest import gen_ground, gen_instance, gen_wf_system
 from test_proofs import _doubling_nd_proof
 from intruder import cli, constraints, engine, proofs
-from intruder.proofs import dumps, linear_to_seq, loads, seq_to_nd
+from intruder.elementary import ElemWitness
+from intruder.proofs import Derivation, Sequent, dumps, linear_to_seq, loads, seq_to_nd
 from intruder.rewriting import make_theories
 from intruder.terms import Term, format_term, name, parse_term
 
@@ -522,7 +523,7 @@ def test_translate_round_trip_via_cli(tmp_path, capsys):
 def test_translate_direction_mismatch(tmp_path, capsys):
     ths = make_theories(("empty",))
     d = engine.deduce([parse_term("pair(a, b)")], parse_term("a"), ths)
-    nd = seq_to_nd(linear_to_seq(d, ths), ths)
+    nd = seq_to_nd(linear_to_seq(d), ths)
     path = tmp_path / "nd.json"
     path.write_text(dumps(nd))
     rc = cli.main(["translate", "--proof", str(path), "--direction", "seq2nd",
@@ -556,7 +557,7 @@ def test_nd2seq_then_check_pipeline(tmp_path, capsys):
         d = engine.deduce(gamma, goal, ths)
         if d is None:
             continue
-        nd = seq_to_nd(linear_to_seq(d, ths), ths)
+        nd = seq_to_nd(linear_to_seq(d), ths)
         nd_path.write_text(dumps(nd))
         rc = cli.main(["translate", "--proof", str(nd_path),
                        "--direction", "nd2seq", "--theory", "empty"])
@@ -711,7 +712,7 @@ def test_malformed_flat_proofs_exit_2(tmp_path, capsys, case):
 def test_translate_checks_each_proof_once(tmp_path, capsys, monkeypatch):
     ths = make_theories(("xor",))
     d = engine.deduce([parse_term("a+b"), parse_term("b+c")], parse_term("a+c"), ths)
-    seq = linear_to_seq(d, ths)
+    seq = linear_to_seq(d)
     files = {sys_: tmp_path / f"{sys_}.json" for sys_ in "LSN"}
     files["L"].write_text(dumps(d))
     files["S"].write_text(dumps(seq))
@@ -726,12 +727,28 @@ def test_translate_checks_each_proof_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(proofs, "find_error", recording)
     for source, direction, want in (("N", "nd2seq", ["N", "S"]),
                                     ("S", "seq2nd", ["S", "N"]),
-                                    ("L", "seq2nd", ["L", "S", "N"])):
+                                    ("L", "seq2nd", ["L", "N"])):
         checked.clear()
         assert cli.main(["translate", "--proof", str(files[source]),
                          "--direction", direction, "--theory", "xor"]) == 0
         capsys.readouterr()
         assert checked == want, (source, direction)
+
+
+def test_translate_rejects_broken_input(tmp_path, capsys):
+    a, b = name("a"), name("b")
+    g = frozenset({a})
+    broken_n = Derivation("N", "e_E", Sequent(g, a),
+                          (Derivation("N", "id", Sequent(g, a)),
+                           Derivation("N", "id", Sequent(g, a))))
+    broken_s = Derivation("S", "id", Sequent(g, b), (),
+                          {"witness": ElemWitness("empty", "empty", (b,)), "theory": "empty"})
+    for proof, direction in ((broken_n, "nd2seq"), (broken_s, "seq2nd")):
+        path = write(tmp_path, dumps(proof), f"{proof.system}.json")
+        assert cli.main(["translate", "--proof", path, "--direction", direction,
+                         "--theory", "empty"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "input proof is invalid" in out.err, proof.system
 
 
 def test_two_thousand_link_proof_under_the_default_recursion_limit(tmp_path):
