@@ -4,10 +4,20 @@ A system is a sequence of constraints Sigma |- M (proper) or Sigma |-R M
 (right, synthesis only) over terms built from names, variables, pairing and
 symmetric encryption, together with a public name the intruder holds in
 every Sigma. Reduction rules C1 to C5 rewrite a system while instantiating
-variables, terminating because a lexicographic measure drops at every step;
-systems whose constraints are all right constraints with variable goals are
-solved, and any assignment of deducible values to those variables (the
-public name is always one) yields a solution.
+variables, terminating because a measure drops at every step; systems whose
+constraints are all right constraints with variable goals are solved, and
+any assignment of deducible values to those variables (the public name is
+always one) yields a solution.
+
+The measure of a system is its variable count, then the multiset of its
+constraints' measures: (0, size of the goal) for a right constraint and
+(1, total size of the knowledge) for a proper one. Each Constraint computes
+its measure and the variables of its knowledge once, when it is built, and
+a substitution that binds none of a constraint's variables hands the same
+constraint back, so a child system shares its untouched constraints, and
+their cached fields, with its parent. system_measure writes the multiset as
+its elements sorted in decreasing order, and measure_less is tuple order:
+see measure_less for why that is the multiset order.
 
 solve searches only the edges it needs: it reduces the first unsolved
 constraint, splits known pairs at once and in one order, and skips C1 on a
@@ -17,8 +27,7 @@ a solved form it returns.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import engine
@@ -35,9 +44,24 @@ _EMPTY = make_theories(("empty",))
 
 @dataclass(frozen=True)
 class Constraint:
+    """Sigma |- goal (kind PROPER) or Sigma |-R goal (kind RIGHT).
+
+    sigma_vars, the variables of sigma, and measure, the constraint's part of
+    the termination measure, are filled at construction and take no part in
+    equality, hashing or repr.
+    """
     kind: str
     sigma: frozenset[Term]
     goal: Term
+    sigma_vars: frozenset[Term] = field(init=False, compare=False, hash=False, repr=False)
+    measure: tuple[int, int] = field(init=False, compare=False, hash=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma_vars",
+                           frozenset().union(*[t.vars for t in self.sigma]))
+        object.__setattr__(self, "measure",
+                           (0, self.goal.size) if self.kind == RIGHT
+                           else (1, sum(t.size for t in self.sigma)))
 
     def __repr__(self) -> str:
         left = ", ".join(format_term(t) for t in sorted(self.sigma, key=lambda u: u.key))
@@ -64,8 +88,7 @@ class ConstraintSystem:
         out: set[Term] = set()
         for c in self.constraints:
             out |= c.goal.vars
-            for t in c.sigma:
-                out |= t.vars
+            out |= c.sigma_vars
         return frozenset(out)
 
     def replace(self, constraints: tuple[Constraint, ...]) -> ConstraintSystem:
@@ -109,6 +132,9 @@ class Substitution:
         return substitute(t, self.as_dict())
 
     def apply_constraint(self, c: Constraint) -> Constraint:
+        """c under the substitution; c itself when it binds none of c's variables."""
+        if not any(v in c.sigma_vars or v in c.goal.vars for v, _ in self.pairs):
+            return c
         m = self.as_dict()
         return Constraint(c.kind, frozenset(substitute(t, m) for t in c.sigma),
                           substitute(c.goal, m))
@@ -223,9 +249,8 @@ def well_formed(s: ConstraintSystem) -> list[str]:
 def _originating(s: ConstraintSystem) -> bool:
     seen: set[Term] = set()
     for c in s.constraints:
-        for t in c.sigma:
-            if not t.vars <= seen:
-                return False
+        if not c.sigma_vars <= seen:
+            return False
         seen |= c.goal.vars
     return True
 
@@ -266,25 +291,33 @@ def _recoverable(cs: tuple[Constraint, ...], i: int, j: int) -> bool:
 
 
 def constraint_measure(c: Constraint) -> tuple[int, int]:
-    if c.kind == RIGHT:
-        return (0, c.goal.size)
-    return (1, sum(t.size for t in c.sigma))
+    """(0, goal size) for a right constraint, (1, knowledge size) for a proper one."""
+    return c.measure
 
 
-def system_measure(s: ConstraintSystem):
-    """(variable count, multiset of per-constraint measures)."""
-    return (len(s.variables()), Counter(constraint_measure(c) for c in s.constraints))
+def system_measure(s: ConstraintSystem) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(variable count, the constraints' measures sorted in decreasing order).
+
+    The second part stands for the multiset of constraint measures; sorting
+    fixes one sequence per multiset, so equal multisets give equal tuples.
+    """
+    measures = [c.measure for c in s.constraints]
+    measures.sort(reverse=True)
+    return (len(s.variables()), tuple(measures))
 
 
 def measure_less(a, b) -> bool:
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    m, n = a[1], b[1]
-    if m == n:
-        return False
-    gained = m - n
-    lost = n - m
-    return all(any(y > x for y in lost) for x in gained)
+    """Whether system measure a lies below b: fewer variables, or as many and
+    a smaller multiset in the Dershowitz-Manna order.
+
+    Constraint measures are pairs of ints, so they are totally ordered. Under
+    a total order the multiset order is lexicographic order on the multisets'
+    elements sorted in decreasing order, a proper prefix being smaller: where
+    the sorted sequences first differ, the larger element occurs more often
+    in its own multiset than in the other and lies above every element the
+    other holds beyond their common part. So the measures compare as tuples.
+    """
+    return a < b
 
 
 # --- reduction rules ----------------------------------------------------------------
@@ -487,9 +520,10 @@ def solve(s: ConstraintSystem, all_solutions: bool = False,
     def visit(current: ConstraintSystem, theta: Substitution) -> bool:
         """Enter a system; True once the search may stop."""
         k = (current.constraints, theta.restrict(orig_vars))
-        if k in seen:
+        before = len(seen)
+        seen.add(k)  # hashes k once; a key already seen leaves the set as it was
+        if len(seen) == before:
             return False
-        seen.add(k)
         if len(seen) > max_nodes:
             raise RuntimeError(f"gave up after exploring {max_nodes} systems")
         if current.is_solved():
@@ -580,8 +614,9 @@ def parse_constraint_line(line: str) -> Constraint:
 def parse_constraint_file(text: str) -> ConstraintSystem:
     """One constraint per line, written 'a, pair(b, ?x) |- goal'; right
     constraints use |-R. An optional leading line 'public a' names the
-    public constant (defaulting to a name every left side holds). Blank
-    lines and # comments are skipped."""
+    public constant (defaulting to a name every left side holds): a line
+    without |- whose first word is 'public'. Blank lines and # comments are
+    skipped."""
     out: list[Constraint] = []
     pub: Term | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -589,7 +624,7 @@ def parse_constraint_file(text: str) -> ConstraintSystem:
         if not line:
             continue
         try:
-            if line.startswith("public"):
+            if "|-" not in line and line.split(None, 1)[0] == "public":
                 if out or pub is not None:
                     raise ValueError("'public' must be the first line")
                 t = parse_term(line[len("public"):])

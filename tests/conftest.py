@@ -158,8 +158,11 @@ def _vars_of(t):
     return variables(t)
 
 
-def instrumented_solve(s, record=None, **kw):
-    """solve() with every explored edge checked for the two step invariants."""
+def instrumented_solve(s, record=None, children=None, **kw):
+    """solve() with every explored edge checked for the two step invariants.
+
+    record, if given, collects the rule of every edge and children its child.
+    """
     from intruder.constraints import solve
 
     def on_edge(parent, rule, delta, child):
@@ -169,6 +172,8 @@ def instrumented_solve(s, record=None, **kw):
         assert not problems, f"{rule} successor ill-formed: {problems}"
         if record is not None:
             record.append(rule)
+        if children is not None:
+            children.append(child)
 
     return solve(s, on_edge=on_edge, **kw)
 

@@ -26,6 +26,10 @@ walked_variables and recursive_size are the term metadata that the
 ``vars`` and ``size`` slots replaced: a fresh walk of the term on every
 call.
 
+multiset_less is the termination order that constraints.measure_less's
+tuple comparison replaced: the Dershowitz-Manna multiset order, computed on
+Counters from its definition.
+
 decide_xor and decide_ag are the elementary deciders that the xor and ag
 spans replaced: GF(2) and exact integer elimination over the whole of a
 sorted Gamma on every call (solve_gf2, solve_int), each returning its own
@@ -46,6 +50,7 @@ same messages, columns and depth bound.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from random import Random
 from typing import Iterable, Iterator
 
@@ -125,6 +130,27 @@ def recursive_size(t: Term) -> int:
         return 1
     own = len(t.args) - 1 if t.sym in AC_SYMBOLS and t.kind == EAPP else 1
     return own + sum(recursive_size(a) for a in t.args)
+
+
+# --- the termination order from its definition ---------------------------------
+
+
+def multiset_less(a, b) -> bool:
+    """Whether (variable count, constraint measures) a lies below b: fewer
+    variables, or as many and a smaller multiset of measures in the
+    Dershowitz-Manna order (Dershowitz and Manna, CACM 1979).
+
+    M < N iff M != N and every element M has beyond N is below some element
+    N has beyond M. The measures may come in any order.
+    """
+    if a[0] != b[0]:
+        return a[0] < b[0]
+    m, n = Counter(a[1]), Counter(b[1])
+    if m == n:
+        return False
+    gained = m - n
+    lost = n - m
+    return all(any(y > x for y in lost) for x in gained)
 
 
 # --- the saturated subterm set ------------------------------------------------

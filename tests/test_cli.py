@@ -165,6 +165,14 @@ def test_constraints_unsatisfiable(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["satisfiable"] is False
 
 
+@pytest.mark.parametrize("text", ["publickey, a |-R a\n",
+                                  "public a\npublic_b, a |- a\n"])
+def test_constraints_names_that_begin_with_public(tmp_path, capsys, text):
+    path = write(tmp_path, text)
+    assert cli.main(["constraints", "--input", path]) == 0
+    assert capsys.readouterr().out.startswith("satisfiable")
+
+
 def _balanced_pairs(depth):
     if depth == 0:
         return "a"

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conftest import GroundOracle, gen_wf_system, ground_universe, instrumented_solve
-from oracles import exhaustive_solve, step
+from oracles import (exhaustive_solve, multiset_less, recursive_size, step,
+                     walked_variables)
 from test_acceptance import NAMES_DESK, X, Y, _desk_terms, desk_systems
 from intruder import constraints
 from intruder.constraints import (PROPER, RIGHT, Constraint, RULES, Substitution,
@@ -139,6 +140,109 @@ def test_measures():
     for _rule, _theta, nxt in step(s):
         assert measure_less(system_measure(nxt), system_measure(s))
     assert not measure_less(system_measure(s), system_measure(s))
+
+
+def _measure_pairs(rng):
+    """Pairs of system_measure-shaped values: equal multisets, proper
+    sub-multisets, multisets that differ only in multiplicity, unequal
+    variable counts and unrelated multisets."""
+    def shaped(n, ms):
+        return (n, tuple(sorted(ms, reverse=True)))
+
+    for _ in range(400):
+        ms = [(rng.randint(0, 1), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))]
+        n = rng.randint(0, 2)
+        other = list(ms)
+        rng.shuffle(other)
+        yield shaped(n, ms), shaped(n, other)
+        if ms:
+            sub = rng.sample(ms, rng.randint(0, len(ms) - 1))
+            yield shaped(n, sub), shaped(n, ms)
+            yield shaped(n, ms + [rng.choice(ms)]), shaped(n, ms)
+            yield shaped(n, [ms[0]] * rng.randint(1, 3)), shaped(n, [ms[0]] * rng.randint(1, 3))
+        yield shaped(n, ms), shaped(n + rng.choice((-1, 1)), ms + [(1, 9)])
+        yield shaped(n, ms), shaped(n, [(rng.randint(0, 1), rng.randint(1, 4))
+                                        for _ in range(rng.randint(0, 5))])
+
+
+def test_measure_less_is_the_multiset_order():
+    rng = random.Random(62)
+    kinds = set()
+    for m, n in _measure_pairs(rng):
+        assert not measure_less(m, m)
+        for u, v in ((m, n), (n, m)):
+            assert measure_less(u, v) == multiset_less(u, v), (u, v)
+        kinds.add((m == n, measure_less(m, n), measure_less(n, m)))
+    # every outcome occurs: equal, below, above, and never both ways
+    assert kinds == {(True, False, False), (False, True, False), (False, False, True)}
+
+
+def _assert_cached_fields(c):
+    assert c.sigma_vars == frozenset().union(*map(walked_variables, c.sigma)), c
+    if c.kind == RIGHT:
+        assert c.measure == (0, recursive_size(c.goal)), c
+    else:
+        assert c.measure == (1, sum(map(recursive_size, c.sigma))), c
+    assert constraint_measure(c) is c.measure
+
+
+def test_constraints_carry_their_variables_and_measure():
+    rng = random.Random(63)
+    # the sessions give knowledge sets whose terms hold different variables
+    roots = [gen_wf_system(rng) for _ in range(200)]
+    roots += [_session(4, True), _session(4, False)]
+    seen = 0
+    for s in roots:
+        children = []
+        instrumented_solve(s, children=children, all_solutions=True)
+        for sys_ in [s] + children:
+            for c in sys_.constraints:
+                _assert_cached_fields(c)
+                seen += 1
+            walked = set()
+            for c in sys_.constraints:
+                walked |= walked_variables(c.goal)
+                for t in c.sigma:
+                    walked |= walked_variables(t)
+            assert sys_.variables() == walked
+            measures = sorted((c.measure for c in sys_.constraints), reverse=True)
+            assert system_measure(sys_) == (len(walked), tuple(measures))
+        for parent in [s] + children:
+            for _rule, _i, _n, child, _theta in successors(parent):
+                assert multiset_less(system_measure(child), system_measure(parent))
+    assert seen > 2000
+    # in a well-formed system every knowledge variable is also some goal's
+    assert system(right({a, enc(b, x)}, a)).variables() == {x}
+
+
+def test_apply_constraint_shares_what_it_does_not_touch():
+    z = var("z")
+    c = proper({a, enc(b, x)}, pair(x, y))
+    assert Substitution().apply_constraint(c) is c
+    assert Substitution.of({z: a}).apply_constraint(c) is c
+    for theta, want in ((Substitution.of({x: b}), proper({a, enc(b, b)}, pair(b, y))),
+                        (Substitution.of({y: a}), proper({a, enc(b, x)}, pair(x, a)))):
+        got = theta.apply_constraint(c)
+        assert got == want and got is not c
+        assert got.sigma_vars == want.sigma_vars and got.measure == want.measure
+    # C1 binds ?x := a: the constraints it leaves alone are the parent's objects
+    s = system(right({a}, x), right({a}, z), right({a, enc(x, b)}, enc(a, b)),
+               proper({a, b}, b), proper({a, x, enc(x, b)}, x), public_name=a)
+    [(_rule, i, _n, child, theta)] = [e for e in successors(s) if e[0] == "C1"]
+    assert theta.as_dict() == {x: a}
+    old = s.constraints[:i] + s.constraints[i + 1:]
+    shared = [after is before for before, after in zip(old, child.constraints)]
+    assert shared == [False, True, True, False]
+
+
+def test_equal_constraints_built_apart_stay_equal():
+    c1 = proper({a, pair(b, x)}, x)
+    c2 = Constraint(PROPER, frozenset([pair(b, x), a]), x)
+    assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
+    assert hash(c1) == hash((PROPER, frozenset({a, pair(b, x)}), x))
+    assert c1 != right({a, pair(b, x)}, x)
+    assert repr(c1) == "a, pair(b,?x) |- ?x"
+    assert {system(c1): 1}[system(c2)] == 1
 
 
 def test_well_formed_names_the_violated_condition():
