@@ -20,17 +20,13 @@ from random import Random
 
 from . import constraints as cstr
 from . import engine, proofs
-from .constraints import split_top
 from .rewriting import THEORY_BUILDERS, make_theories
-from .terms import EAPP, ParseError, Term, format_term, parse_term, subterms
+from .terms import (EAPP, ParseError, Term, format_term, parse_term, parse_term_list,
+                    subterms)
 
 
 class InputError(Exception):
     pass
-
-
-def _parse_term_list(text: str) -> list[Term]:
-    return [parse_term(part) for part in split_top(text) if part.strip()]
 
 
 def read_problem(text: str):
@@ -50,7 +46,7 @@ def read_problem(text: str):
             if key == "theory":
                 names.extend(n.strip() for n in rest.split(",") if n.strip())
             elif key == "knows":
-                knows.extend(_parse_term_list(rest))
+                knows.extend(parse_term_list(rest))
             else:
                 if goal is not None:
                     raise InputError(f"line {lineno}: more than one goal")
@@ -103,7 +99,7 @@ def cmd_deduce(args) -> int:
     if args.knows:
         try:
             for chunk in args.knows:
-                knows.extend(_parse_term_list(chunk))
+                knows.extend(parse_term_list(chunk))
         except ParseError as e:
             raise InputError(f"--knows: {e}") from None
     if args.goal:

@@ -32,8 +32,8 @@ from typing import Iterable
 
 from . import engine
 from .rewriting import make_theories
-from .terms import (CAPP, NAME, VAR, Term, format_term, parse_term, substitute,
-                    variables)
+from .terms import (CAPP, NAME, VAR, Term, format_term, parse_term, parse_term_list,
+                    substitute, variables)
 
 PROPER = "proper"
 RIGHT = "right"
@@ -46,22 +46,29 @@ _EMPTY = make_theories(("empty",))
 class Constraint:
     """Sigma |- goal (kind PROPER) or Sigma |-R goal (kind RIGHT).
 
-    sigma_vars, the variables of sigma, and measure, the constraint's part of
-    the termination measure, are filled at construction and take no part in
-    equality, hashing or repr.
+    sigma_vars, the variables of sigma, measure, the constraint's part of
+    the termination measure, solved, whether it is a right constraint with a
+    variable goal, and the hash are filled at construction and take no part
+    in equality or repr.  The hash is that of (kind, sigma, goal).
     """
     kind: str
     sigma: frozenset[Term]
     goal: Term
     sigma_vars: frozenset[Term] = field(init=False, compare=False, hash=False, repr=False)
     measure: tuple[int, int] = field(init=False, compare=False, hash=False, repr=False)
+    solved: bool = field(init=False, compare=False, hash=False, repr=False)
+    _hash: int = field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_vars",
-                           frozenset().union(*[t.vars for t in self.sigma]))
-        object.__setattr__(self, "measure",
-                           (0, self.goal.size) if self.kind == RIGHT
-                           else (1, sum(t.size for t in self.sigma)))
+        set_ = object.__setattr__
+        set_(self, "sigma_vars", frozenset().union(*[t.vars for t in self.sigma]))
+        set_(self, "measure", (0, self.goal.size) if self.kind == RIGHT
+             else (1, sum(t.size for t in self.sigma)))
+        set_(self, "solved", self.kind == RIGHT and self.goal.kind == VAR)
+        set_(self, "_hash", hash((self.kind, self.sigma, self.goal)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         left = ", ".join(format_term(t) for t in sorted(self.sigma, key=lambda u: u.key))
@@ -69,7 +76,7 @@ class Constraint:
         return f"{left} {sep} {format_term(self.goal)}"
 
     def is_solved(self) -> bool:
-        return self.kind == RIGHT and self.goal.kind == VAR
+        return self.solved
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ class ConstraintSystem:
         return "\n".join(head + [repr(c) for c in self.constraints])
 
     def is_solved(self) -> bool:
-        return all(c.is_solved() for c in self.constraints)
+        return _first_unsolved(self) == len(self.constraints)
 
     def variables(self) -> frozenset[Term]:
         out: set[Term] = set()
@@ -398,19 +405,28 @@ def _apply(s: ConstraintSystem, rule: str, index: int, member: Term | None,
     return result
 
 
-def successors(s: ConstraintSystem):
+def _first_unsolved(s: ConstraintSystem) -> int:
+    """The index of the first constraint that is not solved, or the number
+    of constraints when all are."""
+    for i, c in enumerate(s.constraints):
+        if not c.solved:
+            return i
+    return len(s.constraints)
+
+
+def successors(s: ConstraintSystem, first: int | None = None):
     """The (rule, index, member, system, substitution) edges out of a system.
 
     Only the first constraint that is not solved is reduced. Which constraint
     to reduce is a don't-care choice (Millen and Shmatikov, CCS 2001): every
     solution stays an instance of a solved form reachable this way, so only
     the choice of rule needs search, and _reductions_at prunes that choice
-    too. Every edge is still one of C1 to C5 as _apply defines them.
+    too. Every edge is still one of C1 to C5 as _apply defines them. first
+    is _first_unsolved(s), when the caller has it already.
     """
-    for i, c in enumerate(s.constraints):
-        if not c.is_solved():
-            yield from _reductions_at(s, i)
-            return
+    i = _first_unsolved(s) if first is None else first
+    if i < len(s.constraints):
+        yield from _reductions_at(s, i)
 
 
 def _reductions_at(s: ConstraintSystem, i: int):
@@ -526,10 +542,11 @@ def solve(s: ConstraintSystem, all_solutions: bool = False,
             return False
         if len(seen) > max_nodes:
             raise RuntimeError(f"gave up after exploring {max_nodes} systems")
-        if current.is_solved():
+        first = _first_unsolved(current)
+        if first == len(current.constraints):
             found.append(Solution(current, k[1], pub))
             return not all_solutions
-        path.append((current, theta, successors(current)))
+        path.append((current, theta, successors(current, first)))
         return False
 
     if visit(s, Substitution()):
@@ -583,20 +600,6 @@ def verify_solution(s: ConstraintSystem, assignment: Substitution) -> bool:
 # --- file format -----------------------------------------------------------------------
 
 
-def split_top(text: str, sep: str = ",") -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
-
-
 def parse_constraint_line(line: str) -> Constraint:
     if "|-R" in line:
         left, _, goal = line.partition("|-R")
@@ -607,7 +610,7 @@ def parse_constraint_line(line: str) -> Constraint:
     else:
         raise ValueError(f"expected '|-' or '|-R' in constraint line: {line!r}")
     left = left.strip()
-    sigma = [parse_term(p) for p in split_top(left) if p.strip()] if left else []
+    sigma = parse_term_list(left)
     return Constraint(kind, frozenset(sigma), parse_term(goal))
 
 

@@ -93,8 +93,11 @@ def replay(witness: ElemWitness, gamma: Iterable[Term], theories,
     compared with the goal's vector and the goal is returned, so a large
     coefficient is never written out as a term.  Raises ValueError on a
     malformed witness, and, given a goal, when the value is another term.
+    A set or frozenset Gamma is read as it is; only another iterable is
+    copied into a set.
     """
-    gamma = set(gamma)
+    if not isinstance(gamma, (set, frozenset)):
+        gamma = set(gamma)
     theories = as_theories(theories)
     by_name = {th.name: th for th in theories}
     th = by_name.get(witness.theory)
@@ -140,7 +143,7 @@ def _holes(witness: ElemWitness) -> Iterator[tuple[Term, int]]:
         yield elem, coeff
 
 
-def _cited(elem: Term, gamma: set[Term]) -> None:
+def _cited(elem: Term, gamma: set[Term] | frozenset[Term]) -> None:
     if elem not in gamma:
         raise ValueError(f"witness cites {elem} outside Gamma")
 

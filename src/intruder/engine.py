@@ -16,8 +16,9 @@ tests/oracles.py.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
+from operator import attrgetter
 from random import Random
 from typing import Iterable
 
@@ -90,22 +91,49 @@ def _apply_left(rule: str, principal: Term, gamma: frozenset[Term], goal: Term,
 
     For the principal-based rules the principal must already be in gamma; for
     ls the principal is the alien factor being abstracted into the context.
-    parts is left_parts(rule, principal), when the caller has it already.
+    parts is left_parts(rule, principal, build=False), when the caller has
+    it already; the added terms are built only once the rule fires.
     """
     if (principal in gamma) == (rule == "ls"):
         return None
-    side, added, held = parts or left_parts(rule, principal)
+    side, added, held = parts or left_parts(rule, principal, build=False)
     if held is not None and held not in gamma:
         return None
-    if side is None:
-        return added, None
-    proof = _right(gamma, side, theories, table, memo)
-    if proof is None:
-        return None
+    proof = None
+    if side is not None:
+        proof = _right(gamma, side, theories, table, memo)
+        if proof is None:
+            return None
+    if added is None:
+        added = left_parts(rule, principal)[1]
     return added, proof
 
 
 # --- saturation by worklist -------------------------------------------------------
+
+
+class _Candidate:
+    """A left rule at a principal (for ls, an alien factor and its theory),
+    with where the search has it: its place in the current pass, a lower
+    place an ls moves to for the next pass, and, once tried, what the rule
+    needs (left_parts with build False).  Places are distinct."""
+
+    __slots__ = ("rule", "principal", "theory", "place", "next_place", "needs")
+
+    def __init__(self, rule: str, principal: Term, theory: str | None, place) -> None:
+        self.rule = rule
+        self.principal = principal
+        self.theory = theory
+        self.place = place
+        self.next_place = None
+        self.needs = None
+
+
+_place = attrgetter("place")
+
+
+def _key(t: Term) -> tuple:
+    return t.key
 
 
 def _linear_proof(steps, delta: frozenset[Term], goal: Term,
@@ -140,11 +168,17 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
     candidate.  The search stops at the goal or when the queue is empty:
     then Δ is closed under every rule and the goal is not derivable.
 
+    The goal is decided again after a step only when the step can change
+    the answer: in the free theory when one of its subterms missing from Δ
+    arrives, under an equational theory after every step.
+
     Without rng the queue runs in passes: each pass tries its candidates
     in term order, and a woken candidate is tried later in the same pass if
     its place has not gone by, else in the next one; candidates of new terms
     wait for the next pass.  This is the order of a full rescan of Δ after
-    each pass, without the rescan.  With rng each new batch of candidates
+    each pass, without the rescan.  A pass sorts its candidates once and
+    reads them with a cursor; those woken ahead of the cursor wait in a heap
+    that is merged with it by place.  With rng each new batch of candidates
     is shuffled instead, which changes the proof but never the verdict.
     """
     theories = as_theories(theories)
@@ -160,50 +194,53 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
 
     equational = [(i, th) for i, th in enumerate(theories) if th.symbols]
     free = not equational
-    place: dict[tuple, tuple] = {}   # candidate -> its place in the current pass
-    parts: dict[tuple, tuple] = {}   # candidate -> left_parts of its rule
-    earlier: dict[tuple, tuple] = {}  # ls candidate -> its place from the next pass
+    factors: dict[tuple[Term, str], _Candidate] = {}  # ls candidates by factor, theory
+    moving: list[_Candidate] = []  # ls candidates with a next_place
     tick = itertools.count()
-    done: set[tuple] = set()
-    parked: set[tuple] = set()
-    waiting: dict[Term, list[tuple]] = {}  # free theory: missing subterm -> parked
+    done: set[_Candidate] = set()
+    parked: set[_Candidate] = set()
+    waiting: dict[Term, list[_Candidate]] = {}  # free theory: missing subterm -> parked
+    goal_waits = set(subterms(goal) - delta)  # free theory: what the goal lacks
 
-    def batch(terms, hosts) -> list[tuple]:
+    def batch(terms, hosts) -> list[_Candidate]:
         """New candidates: the left rules of terms, the ls of hosts' factors."""
         out = []
-        for t in terms:
-            for i, rule in enumerate(_rules_for(t)):
-                cand = (rule, t, None)
-                place[cand] = (0, t.key, i)
-                parts[cand] = left_parts(rule, t)
-                out.append(cand)
+        ruled = {t: rules for t in terms if (rules := _rules_for(t))}
+        # made in place order, so the pass's sort compares few deep keys
+        for t in sorted(ruled, key=_key) if len(ruled) > 1 else ruled:
+            for i, rule in enumerate(ruled[t]):
+                out.append(_Candidate(rule, t, None, (0, t.key, i)))
         for i, th in equational:
-            for t in sorted(hosts, key=lambda u: u.key):  # a factor's first host
+            for t in sorted(hosts, key=_key):  # a factor's first host
                 for a in e_factors(t, th):
                     if a in delta:
                         continue
-                    cand = ("ls", a, th.name)
                     at = (1, i, t.key, a.key)
-                    if cand not in place:
-                        place[cand] = at
-                        parts[cand] = left_parts("ls", a)
+                    cand = factors.get((a, th.name))
+                    if cand is None:
+                        cand = factors[a, th.name] = _Candidate("ls", a, th.name, at)
                         out.append(cand)
-                    elif rng is None and at < earlier.get(cand, place[cand]):
-                        earlier[cand] = at
+                    elif rng is None and at < (cand.place if cand.next_place is None
+                                               else cand.next_place):
+                        if cand.next_place is None:
+                            moving.append(cand)
+                        cand.next_place = at
         if rng is not None:
             rng.shuffle(out)
             for cand in out:
-                place[cand] = (next(tick),)
+                cand.place = next(tick)
         return out
 
-    def park(cand: tuple) -> None:
+    def park(cand: _Candidate) -> None:
         parked.add(cand)
         if free:
-            side, _, held = parts[cand]
-            for u in subterms(held if side is None else side) - delta:
-                waiting.setdefault(u, []).append(cand)
+            side, _, held = cand.needs
+            need = held if side is None else side
+            for u in subterms(need) if need.args else (need,):
+                if u not in delta:
+                    waiting.setdefault(u, []).append(cand)
 
-    def wake(new: frozenset[Term]) -> list[tuple]:
+    def wake(new: frozenset[Term]) -> list[_Candidate]:
         if not free:
             out = list(parked)
             parked.clear()
@@ -218,16 +255,35 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
 
     following = batch(delta, delta | {goal})
     while following:
-        queue = [(place[cand], cand) for cand in following]
-        heapq.heapify(queue)
+        # a pass: its candidates sorted once and read by a cursor, merged by
+        # place with a heap of those woken ahead of the cursor
+        order = sorted(following, key=_place)
         following = []
-        while queue:
-            at, cand = heapq.heappop(queue)
+        ahead: list[tuple] = []
+        pos = 0
+        while True:
+            if ahead and (pos == len(order) or ahead[0][0] < order[pos].place):
+                at, cand = heappop(ahead)
+            elif pos < len(order):
+                cand = order[pos]
+                at = cand.place
+                pos += 1
+            else:
+                break
             if cand in done:
                 continue
-            rule, principal, th_name = cand
-            hit = _apply_left(rule, principal, delta, goal, theories, table, memo,
-                              parts[cand])
+            rule, principal = cand.rule, cand.principal
+            needs = cand.needs
+            if needs is None:
+                needs = cand.needs = left_parts(rule, principal, build=False)
+            wanted = needs[0]
+            if (free and wanted is not None and wanted not in delta
+                    and (wanted.kind != CAPP or wanted.sym not in _RIGHT_FOR)):
+                # in the free theory a side term that Δ lacks and no right
+                # rule builds is not right-deducible: no need to ask _right
+                park(cand)
+                continue
+            hit = _apply_left(rule, principal, delta, goal, theories, table, memo, needs)
             if hit is None:
                 park(cand)
                 continue
@@ -236,23 +292,28 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
             new = frozenset(added) - delta
             if not new:
                 continue
-            steps.append((rule, principal, th_name, side, delta))
+            steps.append((rule, principal, cand.theory, side, delta))
             delta = delta | new
-            rp = _right(delta, goal, theories, table, memo)
-            if rp is not None:
-                return _linear_proof(steps, delta, goal, rp)
-            for u in new:  # an ls of a term already in Δ has nothing to add
-                for _, th in equational:
-                    done.add(("ls", u, th.name))
-                    parked.discard(("ls", u, th.name))
+            if not free or not goal_waits.isdisjoint(new):
+                goal_waits.difference_update(new)
+                rp = _right(delta, goal, theories, table, memo)
+                if rp is not None:
+                    return _linear_proof(steps, delta, goal, rp)
+            for _, th in equational:  # an ls of a term in Δ has nothing to add
+                for u in new:
+                    ls = factors.get((u, th.name))
+                    if ls is not None:
+                        done.add(ls)
+                        parked.discard(ls)
             following.extend(batch(new, new))
             for cand in wake(new):
-                if place[cand] > at:
-                    heapq.heappush(queue, (place[cand], cand))
+                if cand.place > at:
+                    heappush(ahead, (cand.place, cand))
                 else:
                     following.append(cand)
-        place.update(earlier)
-        earlier.clear()
+        for cand in moving:
+            cand.place, cand.next_place = cand.next_place, None
+        moving.clear()
     return None
 
 

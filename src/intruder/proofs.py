@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .elementary import ElemWitness, replay
-from .rewriting import Theory, as_theories, normalize
+from .rewriting import Theory, as_theories, normalize, normalizes_nothing
 from .terms import CAPP, EAPP, Term, capp, eapp, e_factors, format_term, parse_term, sign
 
 
@@ -109,6 +109,7 @@ class _Checker:
         self.theories = theories
         self.root = root
         self.normal_seen: dict[Term, bool] = {}
+        self.all_normal = normalizes_nothing(theories)
 
     def run(self) -> str | None:
         # a frame is (node, inside a right proof, parent frame, premise index
@@ -131,12 +132,15 @@ class _Checker:
                 if seen == _ACTIVE:
                     _fail("the derivation is its own premise (a cycle)")
                 state[key] = _ACTIVE
-                stack.append((None, key))
                 if right:
                     self.right_node(node)
                     children = [(p, True, i) for i, p in enumerate(node.premises)]
                 else:
                     children = self.node(node)
+                if not children:  # a leaf: its subtree ends here
+                    state[key] = _DONE
+                    continue
+                stack.append((None, key))
                 for child, r, label in reversed(children):
                     stack.append((child, r, frame, label))
         except _CheckFailure as e:
@@ -169,6 +173,8 @@ class _Checker:
         self.check_s(d)
 
     def normal(self, terms: Iterable[Term], what: str) -> None:
+        if self.all_normal:
+            return
         seen = self.normal_seen
         for t in terms:
             ok = seen.get(t)
@@ -184,9 +190,16 @@ class _Checker:
         self.normal((d.conclusion.goal,), "goal")
 
     def adds(self, d: Derivation, i: int, added: tuple[Term, ...]) -> None:
-        """Premise i has d's sequent with the added terms in Gamma."""
-        c = d.conclusion
-        if d.premises[i].conclusion != Sequent(c.gamma.union(added), c.goal):
+        """Premise i has d's sequent with the added terms in Gamma.
+
+        No set is built: the premise's Gamma holds Gamma and the added terms
+        and has as many members as their union, so it is that union.
+        """
+        c, p = d.conclusion, d.premises[i].conclusion
+        g, pg = c.gamma, p.gamma
+        if (p.goal is not c.goal or not isinstance(pg, (set, frozenset))
+                or len(pg) != len(g) + len(frozenset(added) - g)
+                or not pg.issuperset(added) or not g <= pg):
             _fail(f"premise {i} of {d.rule} must add {', '.join(map(str, added))} to Gamma")
         self.normal(added, "Gamma member")
 
@@ -215,7 +228,7 @@ class _Checker:
             # derives that term from Gamma
             side, added = _left_step(d, self.theories)
             _arity(d, 1 if side is None else 2)
-            if side is not None and d.premises[0].conclusion != Sequent(g, side):
+            if side is not None and not _concludes(d.premises[0], g, side):
                 _fail(f"the first premise of {rule} must derive {side} from Gamma")
             self.adds(d, len(d.premises) - 1, added)
 
@@ -240,18 +253,22 @@ class _Checker:
         embedded = d.aux.get("right")
         if not isinstance(embedded, Derivation):
             _fail(f"side condition unproved: no right proof that {side} is right-deducible")
-        if embedded.conclusion != Sequent(g, side):
+        if not _concludes(embedded, g, side):
             _fail("embedded right proof concludes the wrong sequent")
         return embedded
 
 
-def left_parts(rule: str, principal: Term) -> tuple[Term | None, tuple[Term, ...], Term | None]:
+def left_parts(rule: str, principal: Term, build: bool = True
+               ) -> tuple[Term | None, tuple[Term, ...] | None, Term | None]:
     """The one definition of a left rule, named in N, S or L, at a principal:
     (side, added, held).  side is the term the rule needs right-deducible
     from Gamma (None for the pair and sign rules), added the terms it adds
     to Gamma, held the term Gamma must already contain (pub(k) for the sign
     rules, else None).  For acut and ls the principal is the alien factor
-    abstracted.  A principal of the wrong shape raises ValueError."""
+    abstracted.  A principal of the wrong shape raises ValueError.  With
+    build false, added is None where it holds a term that is not a part of
+    the principal (the unblind rule's sign(m, k)), so a caller that only
+    asks whether the rule applies builds no term."""
     kind = _LEFT_KIND[rule]
     if kind == "abstract":
         return principal, (principal,), None
@@ -265,7 +282,7 @@ def left_parts(rule: str, principal: Term) -> tuple[Term | None, tuple[Term, ...
         return None, (a,), capp("pub", (b,))
     if kind == "unblind":
         payload, r = _shaped(a, "blind", "signed payload")
-        return r, (sign(payload, b), r), None
+        return r, (sign(payload, b), r) if build else None, None
     return b, (a, b), None  # enc(a, key), blind(a, factor)
 
 
@@ -294,6 +311,12 @@ def _path(frame: tuple) -> str:
         labels.append(".right" if label == "right" else f".premises[{label}]")
         frame = frame[2]
     return "root" + "".join(reversed(labels))
+
+
+def _concludes(d: Derivation, gamma: frozenset[Term], goal: Term) -> bool:
+    """Whether d concludes gamma |- goal, read field by field."""
+    c = d.conclusion
+    return isinstance(c, Sequent) and c.goal is goal and _same(c.gamma, gamma)
 
 
 def _same(a: frozenset[Term], b: frozenset[Term]) -> bool:
@@ -496,7 +519,7 @@ def _right_proof(d: Derivation, goal: Term) -> Derivation:
     """The right proof of goal that the L node d carries."""
     g = d.conclusion.gamma
     emb = d.aux.get("right")
-    if not (isinstance(emb, Derivation) and emb.conclusion == Sequent(g, goal)):
+    if not (isinstance(emb, Derivation) and _concludes(emb, g, goal)):
         raise ValueError(f"L rule {d.rule} carries no right proof of {goal}")
     return emb
 

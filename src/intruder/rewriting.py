@@ -337,6 +337,12 @@ def _evaluation(theories: tuple[Theory, ...]) -> tuple[dict[str, Theory], frozen
     return evaluated, frozenset(blocked)
 
 
+def normalizes_nothing(theories) -> bool:
+    """Whether every term is its own normal form: no theory has rules."""
+    evaluated, blocked = _evaluation(as_theories(theories))
+    return not evaluated and not blocked
+
+
 def normalize(t: Term, theories) -> Term:
     """The unique normal form of ``t`` modulo AC, computed by evaluation.
 

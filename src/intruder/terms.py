@@ -18,7 +18,6 @@ its children's, when the node is interned, and kept in its ``vars`` and
 from __future__ import annotations
 
 import re
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from typing import Iterable
@@ -76,14 +75,13 @@ class _Ref(weakref.ref):
 
 # (kind, sym, args) -> weak reference to the one live term of that structure
 _intern: dict[tuple, _Ref] = {}
-_intern_lock = threading.Lock()
 _pinned: list[Term] = []  # every variable ever built, kept alive
 _NO_VARS: frozenset[Term] = frozenset()  # shared by every ground term
 
 
 def _drop(ref: _Ref, _remove=_remove_dead_weakref, _table=_intern) -> None:
     # a term died: forget its entry, unless a new term already took the slot.
-    # One atomic call and no lock, since a term can die while _mk holds it.
+    # One atomic call, since a term can die while another is being interned.
     _remove(_table, ref.key)
 
 
@@ -94,40 +92,43 @@ def _mk(kind: int, sym: str, args: tuple[Term, ...]) -> Term:
         t = ref()
         if t is not None:
             return t
-    # double-checked: builders take turns, so a structure gets one term
-    with _intern_lock:
-        ref = _intern.get(ident)
-        t = None if ref is None else ref()
-        if t is None:
-            t = object.__new__(Term)
-            t.kind = kind
-            t.sym = sym
-            t.args = args
-            if args:
-                # a flattened AC node stands for n-1 binary applications
-                n = len(args) - 1 if kind == EAPP and sym in AC_SYMBOLS else 1
-                vs = _NO_VARS
-                keys = []
-                for a in args:
-                    keys.append(a.key)
-                    n += a.size
-                    av = a.vars
-                    if av and av is not vs:
-                        vs = av if not vs else vs | av
-                t.key = (kind, sym, len(args), tuple(keys))
-                t.vars = vs
-                t.size = n
-            else:
-                t.key = (kind, sym, 0, ())
-                t.size = 1
-                if kind == VAR:
-                    t.vars = frozenset((t,))
-                    _pinned.append(t)
-                else:
-                    t.vars = _NO_VARS
-            ref = _Ref(t, _drop)
-            ref.key = ident
-            _intern[ident] = ref
+    t = object.__new__(Term)
+    t.kind = kind
+    t.sym = sym
+    t.args = args
+    if args:
+        # a flattened AC node stands for n-1 binary applications
+        n = len(args) - 1 if kind == EAPP and sym in AC_SYMBOLS else 1
+        vs = _NO_VARS
+        keys = []
+        for a in args:
+            keys.append(a.key)
+            n += a.size
+            av = a.vars
+            if av and av is not vs:
+                vs = av if not vs else vs | av
+        t.key = (kind, sym, len(args), tuple(keys))
+        t.vars = vs
+        t.size = n
+    else:
+        t.key = (kind, sym, 0, ())
+        t.size = 1
+        t.vars = frozenset((t,)) if kind == VAR else _NO_VARS
+    new = _Ref(t, _drop)
+    new.key = ident
+    # Each call below is atomic, so builders racing on one structure agree
+    # on one term without a lock: the first entry stays, and a dead entry
+    # whose callback has not run yet is cleared and the slot taken again.
+    while True:
+        ref = _intern.setdefault(ident, new)
+        if ref is new:
+            break
+        first = ref()
+        if first is not None:
+            return first
+        _remove_dead_weakref(_intern, ident)
+    if kind == VAR:
+        _pinned.append(t)
     return t
 
 
@@ -282,8 +283,11 @@ class _Failure(Exception):
         self.index = index
 
 
-def _parse_tokens(tokens: list[str]) -> Term:
-    """Parse token strings ending in "" (end of input), without recursing.
+def _parse_tokens(tokens: list[str], i: int = 0, sep: str = "") -> tuple[Term, int]:
+    """Parse a term from token i of token strings ending in "" (end of
+    input), without recursing; returns the term and the index of the token
+    that ends it, which is "" or, when sep is ",", a comma outside every
+    application and parenthesis.
 
     sum := product ('+' product)*, product := atom ('*' atom)*, and an atom
     is a name, a variable, 0, 1, f(sum, ..., sum) or (sum).  Each open
@@ -295,7 +299,6 @@ def _parse_tokens(tokens: list[str]) -> Term:
     stack: list[tuple] = []  # (head or None for "(", its token index, args, sums, prods)
     sums: list[Term] = []    # finished products of the innermost open sum
     prods: list[Term] = []   # atoms of its open product
-    i = 0
     while True:
         # an atom starts at token i
         at = i
@@ -344,9 +347,9 @@ def _parse_tokens(tokens: list[str]) -> Term:
                 sums = []
             # t is a whole sum
             if not stack:
-                if op:
+                if op and op != sep:
                     raise _Failure(f"unexpected trailing input {op!r}", i)
-                return t
+                return t, i
             head, at, args, sums, prods = stack[-1]
             if op == "," and head is not None:
                 args.append(t)
@@ -398,11 +401,53 @@ def parse_term(text: str) -> Term:
     tokens = _TOKEN.findall(text)
     tokens.append("")
     try:
-        return _parse_tokens(tokens)
+        return _parse_tokens(tokens)[0]
     except _Failure as e:
         message, index = e.message, e.index
     # raised outside the handler, so the error holds no parser frame
     raise _parse_error(text, message, index)
+
+
+def parse_term_list(text: str) -> list[Term]:
+    """Parse comma-separated terms; empty parts (a,,b or a trailing comma)
+    are skipped.
+
+    The list is read in one scan, split at the commas outside every
+    application and parenthesis.  Text that does not parse is read again
+    part by part, split at the commas outside parentheses, so an error
+    names the column within its part, as parse_term on that part would.
+    """
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    out = []
+    i = 0
+    try:
+        while True:
+            while tokens[i] == ",":
+                i += 1
+            if not tokens[i]:
+                return out
+            t, i = _parse_tokens(tokens, i, ",")
+            out.append(t)
+    except _Failure:
+        pass
+    return [parse_term(part) for part in _split_top(text) if part.strip()]
+
+
+def _split_top(text: str) -> list[str]:
+    """text cut at each comma outside parentheses; a stray ")" leaves the
+    commas after it uncut until a "(" makes up for it."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 _PRECEDENCE = {"+": 1, "*": 2}

@@ -45,7 +45,9 @@ derivation for the weaken tests.
 
 reference_parse_term is the recursive-descent parser that terms.parse_term's
 token loop replaced: one method call per grammar level and node, with the
-same messages, columns and depth bound.
+same messages, columns and depth bound.  reference_parse_term_list reads a
+comma-separated list the way terms.parse_term_list's one scan replaced: cut
+at the commas outside parentheses (split_top), each part parsed on its own.
 """
 from __future__ import annotations
 
@@ -927,3 +929,24 @@ def reference_parse_term(text: str) -> Term:
         message, index = ("term nested too deep to parse",
                           min(parser.i, len(parser.tokens) - 1))
     raise terms._parse_error(text, message, index)
+
+
+def split_top(text: str, sep: str = ",") -> list[str]:
+    """text cut at each sep outside parentheses, counted character by
+    character; a stray ")" leaves later seps uncut until a "(" makes up."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
+def reference_parse_term_list(text: str) -> list[Term]:
+    """terms.parse_term_list part by part: the same terms or the same error."""
+    return [reference_parse_term(part) for part in split_top(text) if part.strip()]

@@ -14,7 +14,7 @@ from intruder.constraints import (PROPER, RIGHT, Constraint, RULES, Substitution
                                   parse_constraint_line, proper, right,
                                   shared_names, solve, successors, system,
                                   system_measure, verify_solution, well_formed)
-from intruder.terms import eapp, enc, name, pair, substitute, var, variables
+from intruder.terms import VAR, eapp, enc, name, pair, substitute, var, variables
 
 a, b, c, k, m = (name(n) for n in "abckm")
 x, y = var("x"), var("y")
@@ -243,6 +243,22 @@ def test_equal_constraints_built_apart_stay_equal():
     assert c1 != right({a, pair(b, x)}, x)
     assert repr(c1) == "a, pair(b,?x) |- ?x"
     assert {system(c1): 1}[system(c2)] == 1
+
+
+def test_the_hash_is_cached_and_the_first_unsolved_found_in_one_scan(monkeypatch):
+    systems = list(desk_systems(400))
+    for s in systems:
+        first = constraints._first_unsolved(s)
+        flags = [c.kind == RIGHT and c.goal.kind == VAR for c in s.constraints]
+        assert first == (flags.index(False) if False in flags else len(flags))
+        assert s.is_solved() == all(flags)
+        assert list(successors(s, first)) == list(successors(s))
+        for c in s.constraints:
+            assert c.solved == c.is_solved() and hash(c) == hash((c.kind, c.sigma, c.goal))
+    # solve decides whether a system is solved without a per-constraint call
+    monkeypatch.setattr(Constraint, "is_solved", None)
+    monkeypatch.setattr(constraints.ConstraintSystem, "is_solved", None)
+    assert sum(len(solve(s, all_solutions=True)) for s in systems) > 0
 
 
 def test_well_formed_names_the_violated_condition():

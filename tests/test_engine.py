@@ -5,9 +5,9 @@ import pytest
 from conftest import assert_structural, deduce_checked, gen_ground, gen_instance, holes
 from oracles import (OracleBoundExceeded, applicable, nd_closure_oracle,
                      rescan_deduce)
-from intruder import engine
+from intruder import engine, terms
 from intruder.engine import deduce, deducible, right_deduce
-from intruder.proofs import Sequent, find_error
+from intruder.proofs import Sequent, dumps, find_error
 from intruder.rewriting import make_theories, normalize
 from intruder.terms import blind, eapp, enc, name, pair, pub, sign, subterms
 
@@ -276,6 +276,57 @@ def test_saturation_work_is_linear_on_chains(kind, monkeypatch):
         assert work[n, True] <= 2 * work[n, False], work
     for descending in (False, True):
         assert work[48, descending] <= 2.5 * work[24, descending], work
+
+
+def test_sorted_passes_give_the_rescan_proof_byte_for_byte(monkeypatch):
+    ahead = []
+    real = engine.heappush
+
+    def counted(heap, item):
+        ahead.append(item)
+        real(heap, item)
+
+    monkeypatch.setattr(engine, "heappush", counted)
+    for kind in ("enc", "blind"):
+        for n in range(1, 31):
+            for descending in (False, True):
+                gamma, goal = _chain(kind, n, descending)
+                d = deduce(gamma, goal, EMPTYS)
+                assert d is not None
+                assert dumps(d) == dumps(rescan_deduce(gamma, goal, EMPTYS)), (kind, n)
+    # some candidate woke with its place still ahead of the pass's cursor
+    assert ahead
+
+
+def test_the_free_goal_is_decided_again_only_when_a_part_of_it_arrives(monkeypatch):
+    gamma, goal = _chain("enc", 40, True)
+    decided = 0
+    real = engine._right
+
+    def counted(gamma_, goal_, *rest):
+        nonlocal decided
+        decided += goal_ is goal
+        return real(gamma_, goal_, *rest)
+
+    monkeypatch.setattr(engine, "_right", counted)
+    assert deduce(gamma, goal, EMPTYS) is not None
+    assert decided <= len(subterms(goal)) + 1, decided
+
+
+def test_an_unblind_candidate_builds_its_signature_only_when_it_fires(monkeypatch):
+    built = []
+    real = terms._mk
+
+    def recorded(kind, sym, args):
+        built.append((sym, args))
+        return real(kind, sym, args)
+
+    monkeypatch.setattr(terms, "_mk", recorded)
+    signed = [sign(blind(m, r), k), pub(k)]
+    assert deduce(signed, pair(m, r), EMPTYS) is None  # r never becomes known
+    assert ("sign", (m, k)) not in built
+    assert deduce(signed + [r], pair(m, r), EMPTYS) is not None
+    assert ("sign", (m, k)) in built
 
 
 def _xor_keyed_chain(n):

@@ -646,6 +646,44 @@ def test_find_error_rejects_a_proof_that_is_its_own_premise():
         dumps(d)
 
 
+def _premise_concluding(d, i, conclusion):
+    """d with premise i's conclusion replaced; the proof d is left as it is."""
+    p = d.premises[i]
+    changed = Derivation(p.system, p.rule, conclusion, p.premises, p.aux)
+    premises = d.premises[:i] + (changed,) + d.premises[i + 1:]
+    return Derivation(d.system, d.rule, d.conclusion, premises, d.aux)
+
+
+def test_find_error_rejects_a_premise_gamma_that_is_not_gamma_plus_the_added_terms():
+    gamma, goal = _enc_chain(3)
+    d = deduce(gamma, goal, EMPTYS)
+    assert d.rule == "le" and find_error(d, EMPTYS) is None
+    g, pg = d.conclusion.gamma, d.premises[0].conclusion.gamma
+    member, new = enc(name("k0003"), name("k0002")), name("k0001")
+    assert member in g and new in pg - g
+    stray = name("stray")
+    for bad in (pg - {member},            # lacks a member of Gamma
+                pg - {new},               # lacks an added term
+                pg | {stray},             # has an extra member
+                (pg - {member}) | {stray},  # the right size, a member swapped
+                (pg - {new}) | {stray}):
+        err = find_error(_premise_concluding(d, 0, Sequent(bad, goal)), EMPTYS)
+        assert err == "root: premise 0 of le must add k0001, k0000 to Gamma", err
+    err = find_error(_premise_concluding(d, 0, Sequent(pg, stray)), EMPTYS)
+    assert err == "root: left rules keep the goal", err
+    s = linear_to_seq(d)
+    assert s.rule == "e_L" and find_error(s, EMPTYS) is None
+    err = find_error(_premise_concluding(s, 1, Sequent(pg, stray)), EMPTYS)
+    assert err == "root: premise 1 of e_L must add k0001, k0000 to Gamma", err
+    # an id leaf whose witness cites a term outside its Gamma
+    side = d.aux["right"]
+    cites = Derivation("S", "id", side.conclusion, (),
+                       {"witness": ElemWitness("empty", "empty", (stray,)), "theory": "empty"})
+    err = find_error(Derivation(d.system, d.rule, d.conclusion, d.premises,
+                                {**d.aux, "right": cites}), EMPTYS)
+    assert err == "root.right: witness does not replay: witness cites stray outside Gamma", err
+
+
 def test_deep_chain_is_checked_and_serialized_without_recursion():
     gamma, goal = _enc_chain(2000)
     d = deduce(gamma, goal, EMPTYS)

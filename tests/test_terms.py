@@ -6,16 +6,16 @@ import threading
 import pytest
 
 from conftest import gen_ground, gen_sigma_term, gen_wf_system
-from oracles import (proper_subterms, recursive_size, reference_parse_term, saturate,
-                     walked_variables)
+from oracles import (proper_subterms, recursive_size, reference_parse_term,
+                     reference_parse_term_list, saturate, walked_variables)
 from intruder import terms
 from intruder.engine import deduce
 from intruder.rewriting import (ag_theory, empty_theory, make_theories, normalize,
                                 xor_theory)
 from intruder.terms import (CAPP, EAPP, MAX_DEPTH, VAR, ParseError, blind, capp,
                             e_factors, eapp, enc, format_term, is_e_alien,
-                            name, pair, parse_term, pub, sign, size, subterms,
-                            substitute, var, variables)
+                            name, pair, parse_term, parse_term_list, pub, sign, size,
+                            subterms, substitute, var, variables)
 
 a, b, c, d, k, m, r = (name(n) for n in "abcdkmr")
 XOR = xor_theory()
@@ -364,6 +364,46 @@ def test_parse_term_agrees_with_the_recursive_reference():
         assert got is want or (isinstance(got, str) and got == want), text
         errors += isinstance(got, str)
     assert 1000 < errors < len(texts) - 1500  # both outcomes are well covered
+
+
+def _gen_list(rng):
+    """Comma-separated terms, with empty parts and spaces around the commas."""
+    parts = [_gen_text(rng, depth=2) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 2)):
+        parts.insert(rng.randint(0, len(parts)), rng.choice(("", " ")))
+    return rng.choice((",", ", ", " ,")).join(parts)
+
+
+_LISTS = ["", " ", ",", " , ,", "a,,b", "a, b,", ",a", "a b, c", "(a, b)", "(a), b",
+          "a), b", "a), (b, c", "a, b)", "pair(a, b)), c", "((a), b", "a, b, c$d",
+          "a, b, c +", "a +, b", "a, *b", "pair(a, b) c, d", "a, pair(b, (c)), ?x",
+          "a\tb, c", "a, b#c", "sign(a, b), pub(", "inv(a), inv(a, b)"]
+
+
+def test_parse_term_list_agrees_with_the_part_by_part_reference():
+    rng = random.Random(21)
+    texts = _LISTS + [_gen_list(rng) for _ in range(1500)]
+    texts += [_mutate(rng, _gen_list(rng)) for _ in range(3000)]
+    errors = 0
+    for text in texts:
+        got = _outcome(parse_term_list, text)
+        want = _outcome(reference_parse_term_list, text)
+        if isinstance(want, str):
+            assert got == want, text
+            errors += 1
+        else:
+            assert isinstance(got, list) and len(got) == len(want), text
+            assert all(g is w for g, w in zip(got, want)), text
+    assert 1000 < errors < len(texts) - 1500  # both outcomes are well covered
+
+
+def test_parse_term_list_reads_valid_text_in_one_scan(monkeypatch):
+    # the part-by-part reading is only for text that does not parse
+    monkeypatch.setattr(terms, "parse_term", None)
+    assert parse_term_list(" a, pair(b, (c)) ,, k +  inv(a),") == [
+        a, pair(b, c), plus(k, eapp("inv", (a,)))]
+    with pytest.raises(TypeError):
+        parse_term_list("a, b)")
 
 
 # --- weak hash-consing -------------------------------------------------------
