@@ -130,10 +130,7 @@ class _Candidate:
 
 
 _place = attrgetter("place")
-
-
-def _key(t: Term) -> tuple:
-    return t.key
+_key = attrgetter("key")
 
 
 def _linear_proof(steps, delta: frozenset[Term], goal: Term,
@@ -205,10 +202,8 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
     def batch(terms, hosts) -> list[_Candidate]:
         """New candidates: the left rules of terms, the ls of hosts' factors."""
         out = []
-        ruled = {t: rules for t in terms if (rules := _rules_for(t))}
-        # made in place order, so the pass's sort compares few deep keys
-        for t in sorted(ruled, key=_key) if len(ruled) > 1 else ruled:
-            for i, rule in enumerate(ruled[t]):
+        for t in terms:
+            for i, rule in enumerate(_rules_for(t)):
                 out.append(_Candidate(rule, t, None, (0, t.key, i)))
         for i, th in equational:
             for t in sorted(hosts, key=_key):  # a factor's first host
@@ -276,13 +271,6 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
             needs = cand.needs
             if needs is None:
                 needs = cand.needs = left_parts(rule, principal, build=False)
-            wanted = needs[0]
-            if (free and wanted is not None and wanted not in delta
-                    and (wanted.kind != CAPP or wanted.sym not in _RIGHT_FOR)):
-                # in the free theory a side term that Δ lacks and no right
-                # rule builds is not right-deducible: no need to ask _right
-                park(cand)
-                continue
             hit = _apply_left(rule, principal, delta, goal, theories, table, memo, needs)
             if hit is None:
                 park(cand)

@@ -354,9 +354,10 @@ def normalize(t: Term, theories) -> Term:
     set, since those rules cannot be evaluated.  rewrite_normalize computes
     the same normal form with the rules themselves.
     """
-    evaluated, blocked = _evaluation(as_theories(theories))
-    if not evaluated and not blocked:
+    theories = as_theories(theories)
+    if normalizes_nothing(theories):
         return t
+    evaluated, blocked = _evaluation(theories)
     return _eval(t, evaluated, blocked, {})
 
 

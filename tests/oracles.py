@@ -47,7 +47,8 @@ reference_parse_term is the recursive-descent parser that terms.parse_term's
 token loop replaced: one method call per grammar level and node, with the
 same messages, columns and depth bound.  reference_parse_term_list reads a
 comma-separated list the way terms.parse_term_list's one scan replaced: cut
-at the commas outside parentheses (split_top), each part parsed on its own.
+at the commas outside parentheses (terms._split_top, which parse_term_list
+also reads for text that fails), each part parsed on its own.
 """
 from __future__ import annotations
 
@@ -931,22 +932,6 @@ def reference_parse_term(text: str) -> Term:
     raise terms._parse_error(text, message, index)
 
 
-def split_top(text: str, sep: str = ",") -> list[str]:
-    """text cut at each sep outside parentheses, counted character by
-    character; a stray ")" leaves later seps uncut until a "(" makes up."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
-
-
 def reference_parse_term_list(text: str) -> list[Term]:
     """terms.parse_term_list part by part: the same terms or the same error."""
-    return [reference_parse_term(part) for part in split_top(text) if part.strip()]
+    return [reference_parse_term(part) for part in terms._split_top(text) if part.strip()]
