@@ -1,12 +1,10 @@
 """Intruder deduction modulo AC-convergent theories with blind signatures."""
 
 from .terms import (Term, ParseError, name, var, pub, sign, blind, pair, enc,
-                    eapp, parse_term, format_term, subterms, variables, size,
+                    eapp, parse_term, format_term, subterms, variables,
                     substitute, e_factors)
-from .rewriting import (Theory, RewriteRule, NormalizationBudgetExceeded,
-                        empty_theory, ac_theory, xor_theory, ag_theory,
-                        make_theories, normalize, is_normal, rewrite_normalize,
-                        match_mod_ac, one_step_rewrites, Abstraction, abstract)
+from .rewriting import (Theory, empty_theory, ac_theory, xor_theory, ag_theory,
+                        make_theories, normalize, Abstraction)
 from .elementary import ElemWitness, elem_deduce, replay
 from .engine import deduce, deducible, right_deduce
 from .proofs import (Derivation, Sequent, check, find_error,
@@ -15,7 +13,7 @@ from .proofs import (Derivation, Sequent, check, find_error,
 from .constraints import (Constraint, ConstraintSystem, Substitution, Solution,
                           proper, right, system, mgu, well_formed,
                           successors, solve, extract_solution, verify_solution,
-                          constraint_measure, system_measure, measure_less,
-                          shared_names, effective_public, parse_constraint_file)
+                          system_measure, measure_less, effective_public,
+                          parse_constraint_file)
 
 __version__ = "0.1.0"

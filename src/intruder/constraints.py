@@ -297,11 +297,6 @@ def _recoverable(cs: tuple[Constraint, ...], i: int, j: int) -> bool:
 # --- the termination measure -------------------------------------------------------
 
 
-def constraint_measure(c: Constraint) -> tuple[int, int]:
-    """(0, goal size) for a right constraint, (1, knowledge size) for a proper one."""
-    return c.measure
-
-
 def system_measure(s: ConstraintSystem) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(variable count, the constraints' measures sorted in decreasing order).
 

@@ -64,8 +64,6 @@ def elem_deduce(theory: Theory, gamma: Iterable[Term], goal: Term,
     if theory.backend == "ac":
         # the search reads Gamma in term order, so one problem has one answer
         return _decide_ac(theory, sorted(set(gamma), key=_key), goal, table)
-    if theory.backend not in _SPANS:
-        raise ValueError(f"theory {theory.name!r} has no elementary backend")
     gamma = frozenset(gamma)
     target = table.vector(goal, theory)
     if target:

@@ -1,105 +1,68 @@
-"""Equational theories, normal forms and AC rewriting.
+"""Equational theories and their normal forms.
 
-A theory bundles a signature, at most one AC symbol, an AC-convergent rule
-set and the tag of its elementary-deduction backend.  normalize() computes
-normal forms by evaluation: a sum under xor or an abelian group is read as a
-vector of atom counts (mod 2, or signed integers), reduced and rebuilt, and
-plain AC terms are canonical already in the flattened representation.  The
-same vectors (theory_vector, vector_term) serve the elementary backends and
-the engine's reference closure.
-
-rewrite_normalize() rewrites with the rules plus their AC extensions
-(lhs + z -> rhs + z for AC-headed left sides), which realizes class
-rewriting on the flattened representation.  It is exponential in the width
-of a sum and serves as the test oracle for normalize().
+A theory bundles a signature, at most one AC symbol and a backend tag
+(BACKENDS), which names both its elementary-deduction backend and its
+arithmetic.  normalize() computes normal forms by evaluation: a sum under
+xor or an abelian group is read as a vector of atom counts (mod 2, or signed
+integers), reduced and rebuilt, and plain AC terms are canonical already in
+the flattened representation.  The same vectors (theory_vector,
+vector_term) serve the elementary backends and the engine's reference
+closure.  The rule-based rewriter that normalize() is tested against, with
+the xor and ag rule sets, is a test oracle (tests/oracles.py).
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .terms import (
-    AC_SYMBOLS, CAPP, EAPP, NAME, VAR, Term, capp, eapp, substitute, var,
-)
+from .terms import AC_SYMBOLS, EAPP, NAME, VAR, Term, capp, eapp, var
 
-
-class NormalizationBudgetExceeded(RuntimeError):
-    """Raised when normalize() spends its step budget; suspect non-termination."""
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    lhs: Term
-    rhs: Term
-
-    def __post_init__(self):
-        if not self.rhs.vars <= self.lhs.vars:
-            raise ValueError("rewrite rule introduces variables on the right")
+BACKENDS = ("empty", "ac", "xor", "ag")
 
 
 class Theory:
-    """One equational constituent: signature, AC symbol, rules, backend tag."""
+    """One equational constituent: signature, AC symbol, backend tag.
+
+    xor and ag terms are normalized by vector evaluation; ac and empty
+    terms are canonical as the term representation builds them.
+    """
 
     def __init__(self, name: str, symbols: dict[str, int], ac_symbol: str | None,
-                 rules: Sequence[RewriteRule], backend: str):
+                 backend: str):
         if ac_symbol is not None and ac_symbol not in AC_SYMBOLS:
             raise ValueError(f"{ac_symbol!r} is not a reserved AC symbol")
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r} for theory {name!r}")
         self.name = name
         self.symbols = dict(symbols)
         self.ac_symbol = ac_symbol
-        self.rules = tuple(rules)
         self.backend = backend
 
     def __repr__(self) -> str:
         return f"Theory({self.name})"
 
 
-def _x() -> Term:
-    return var("x")
-
-
-def _y() -> Term:
-    return var("y")
-
-
 @lru_cache(maxsize=None)
 def empty_theory() -> Theory:
-    return Theory("empty", {}, None, (), "empty")
+    return Theory("empty", {}, None, "empty")
 
 
 @lru_cache(maxsize=None)
 def ac_theory(op: str = "+") -> Theory:
-    return Theory("ac", {op: 2}, op, (), "ac")
+    return Theory("ac", {op: 2}, op, "ac")
 
 
 @lru_cache(maxsize=None)
 def xor_theory(op: str = "+") -> Theory:
-    zero = eapp("0", ())
-    rules = (
-        RewriteRule(eapp(op, (_x(), _x())), zero),
-        RewriteRule(eapp(op, (_x(), zero)), _x()),
-    )
-    return Theory("xor", {op: 2, "0": 0}, op, rules, "xor")
+    return Theory("xor", {op: 2, "0": 0}, op, "xor")
 
 
 @lru_cache(maxsize=None)
 def ag_theory(op: str = "+") -> Theory:
-    one = eapp("1", ())
-    inv_x = eapp("inv", (_x(),))
-    rules = (
-        RewriteRule(eapp(op, (_x(), one)), _x()),
-        RewriteRule(eapp(op, (_x(), inv_x)), one),
-        RewriteRule(eapp("inv", (one,)), one),
-        RewriteRule(eapp("inv", (inv_x,)), _x()),
-        RewriteRule(eapp("inv", (eapp(op, (_x(), _y())),)),
-                    eapp(op, (inv_x, eapp("inv", (_y(),))))),
-        RewriteRule(eapp(op, (_x(), inv_x, _y())), _y()),
-    )
-    return Theory("ag", {op: 2, "1": 0, "inv": 1}, op, rules, "ag")
+    return Theory("ag", {op: 2, "1": 0, "inv": 1}, op, "ag")
 
 
 THEORY_BUILDERS = {
@@ -145,6 +108,7 @@ def as_theories(theories) -> tuple[Theory, ...]:
 
 
 # --- matching modulo AC -----------------------------------------------------
+# Only the rewriting oracle in tests/ matches; this leaves src/ with ROADMAP item 1.
 
 
 def match_mod_ac(pattern: Term, subject: Term) -> list[dict[Term, Term]]:
@@ -310,37 +274,28 @@ def vector_term(counts: dict[Term, int], theory: Theory) -> Term | None:
 
 
 @lru_cache(maxsize=None)
-def _evaluation(theories: tuple[Theory, ...]) -> tuple[dict[str, Theory], frozenset[str]]:
-    """(head symbol -> the theory that evaluates it, symbols no evaluator covers).
+def _evaluation(theories: tuple[Theory, ...]) -> dict[str, Theory]:
+    """Head symbol -> the xor or ag theory that evaluates it.
 
-    Only the built-in xor and ag rule sets are evaluated; a theory without
-    rules is canonical as it stands (plain AC, empty).  Any other rule set
-    blocks the symbols it owns or rewrites at.
+    Plain AC and empty theories evaluate nothing: their terms are canonical
+    as they stand.
     """
     evaluated: dict[str, Theory] = {}
-    blocked: set[str] = set()
     for th in theories:
-        if not th.rules:
+        if th.backend not in ("xor", "ag"):
             continue
-        if (th.backend in ("xor", "ag") and th.ac_symbol in AC_SYMBOLS
-                and th.rules == THEORY_BUILDERS[th.backend](th.ac_symbol).rules):
-            heads = (th.ac_symbol, "inv") if th.backend == "ag" else (th.ac_symbol,)
-            for sym in heads:
-                if sym in evaluated:
-                    raise ValueError(f"theories {evaluated[sym].name} and {th.name} "
-                                     f"both interpret {sym!r}")
-                evaluated[sym] = th
-            continue
-        if any(r.lhs.kind in (NAME, VAR) for r in th.rules):
-            raise ValueError(f"cannot evaluate the rules of theory {th.name!r}")
-        blocked |= th.symbols.keys() | {r.lhs.sym for r in th.rules}
-    return evaluated, frozenset(blocked)
+        heads = (th.ac_symbol, "inv") if th.backend == "ag" else (th.ac_symbol,)
+        for sym in heads:
+            if sym in evaluated:
+                raise ValueError(f"theories {evaluated[sym].name} and {th.name} "
+                                 f"both interpret {sym!r}")
+            evaluated[sym] = th
+    return evaluated
 
 
 def normalizes_nothing(theories) -> bool:
-    """Whether every term is its own normal form: no theory has rules."""
-    evaluated, blocked = _evaluation(as_theories(theories))
-    return not evaluated and not blocked
+    """Whether every term is its own normal form: no xor or ag constituent."""
+    return not _evaluation(as_theories(theories))
 
 
 def normalize(t: Term, theories) -> Term:
@@ -350,28 +305,21 @@ def normalize(t: Term, theories) -> Term:
     its normalized arguments as an atom vector, reduces it and rebuilds the
     term (theory_vector, vector_term); every other node is rebuilt from its
     normalized arguments, which re-flattens AC symbols.  Raises ValueError
-    when ``t`` contains a symbol of a theory whose rules are not a built-in
-    set, since those rules cannot be evaluated.  rewrite_normalize computes
-    the same normal form with the rules themselves.
+    when two constituents both interpret one symbol.
     """
-    theories = as_theories(theories)
-    if normalizes_nothing(theories):
+    evaluated = _evaluation(as_theories(theories))
+    if not evaluated:
         return t
-    evaluated, blocked = _evaluation(theories)
-    return _eval(t, evaluated, blocked, {})
+    return _eval(t, evaluated, {})
 
 
-def _eval(t: Term, evaluated: dict[str, Theory], blocked: frozenset[str],
-          memo: dict[Term, Term]) -> Term:
+def _eval(t: Term, evaluated: dict[str, Theory], memo: dict[Term, Term]) -> Term:
     done = memo.get(t)
     if done is not None:
         return done
-    if t.kind in (CAPP, EAPP) and t.sym in blocked:
-        raise ValueError(f"cannot evaluate the rules for {t.sym!r}; "
-                         f"use rewrite_normalize")
     out = t
     if t.args:
-        args = tuple(_eval(a, evaluated, blocked, memo) for a in t.args)
+        args = tuple(_eval(a, evaluated, memo) for a in t.args)
         th = evaluated.get(t.sym) if t.kind == EAPP else None
         if th is not None:
             counts: dict[Term, int] = {}
@@ -383,120 +331,6 @@ def _eval(t: Term, evaluated: dict[str, Theory], blocked: frozenset[str],
             out = eapp(t.sym, args) if t.kind == EAPP else capp(t.sym, args)
     memo[t] = out
     return out
-
-
-def is_normal(t: Term, theories) -> bool:
-    return normalize(t, theories) is t
-
-
-# --- rule-based rewriting (the test oracle) -----------------------------------
-
-_EXT_VAR = var("_z")  # reserved: the parser cannot produce a leading underscore
-
-DEFAULT_MAX_STEPS = 10 ** 6
-
-
-def _compiled_rules(theories: tuple[Theory, ...]) -> tuple[tuple[Term, Term], ...]:
-    out = []
-    for th in theories:
-        for rule in th.rules:
-            out.append((rule.lhs, rule.rhs))
-            lhs = rule.lhs
-            if lhs.kind == EAPP and lhs.sym in AC_SYMBOLS:
-                out.append((eapp(lhs.sym, lhs.args + (_EXT_VAR,)),
-                            eapp(lhs.sym, (rule.rhs, _EXT_VAR))))
-    return tuple(out)
-
-
-def _root_step(t: Term, rules) -> Term | None:
-    for lhs, rhs in rules:
-        for env in _match_cached(lhs, t):
-            return substitute(rhs, dict(env))
-    return None
-
-
-def rewrite_normalize(t: Term, theories, max_steps: int = DEFAULT_MAX_STEPS,
-                      strategy: str = "innermost") -> Term:
-    """The normal form of ``t`` by rewriting with the rules plus their AC
-    extensions (lhs + z -> rhs + z for AC-headed left sides).
-
-    This is the reference that normalize() is tested against; AC matching
-    makes it exponential in the width of a sum.  Convergence makes the
-    redex strategy irrelevant for the result, and both strategies exist so
-    tests can check exactly that.  Raises NormalizationBudgetExceeded after
-    max_steps rule applications.
-    """
-    theories = as_theories(theories)
-    rules = _compiled_rules(theories)
-    if not rules:
-        return t
-    budget = [max_steps]
-    if strategy == "innermost":
-        return _norm_inner(t, rules, budget, {})
-    if strategy == "outermost":
-        cur = t
-        while True:
-            nxt = _step_outer(cur, rules)
-            if nxt is None:
-                return cur
-            _spend(budget)
-            cur = nxt
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _spend(budget: list[int]) -> None:
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise NormalizationBudgetExceeded("normalization step budget exhausted")
-
-
-def _norm_inner(t: Term, rules, budget, cache: dict[Term, Term]) -> Term:
-    done = cache.get(t)
-    if done is not None:
-        return done
-    cur = t
-    if cur.args:
-        args = tuple(_norm_inner(a, rules, budget, cache) for a in cur.args)
-        if args != cur.args:
-            cur = eapp(cur.sym, args) if cur.kind == EAPP else capp(cur.sym, args)
-    while True:
-        red = _root_step(cur, rules)
-        if red is None:
-            break
-        _spend(budget)
-        if red.args:
-            args = tuple(_norm_inner(a, rules, budget, cache) for a in red.args)
-            red = eapp(red.sym, args) if red.kind == EAPP else capp(red.sym, args)
-        cur = red
-    cache[t] = cur
-    cache[cur] = cur
-    return cur
-
-
-def _step_outer(t: Term, rules) -> Term | None:
-    red = _root_step(t, rules)
-    if red is not None:
-        return red
-    for i, a in enumerate(t.args):
-        sub = _step_outer(a, rules)
-        if sub is not None:
-            args = t.args[:i] + (sub,) + t.args[i + 1:]
-            return eapp(t.sym, args) if t.kind == EAPP else capp(t.sym, args)
-    return None
-
-
-def one_step_rewrites(t: Term, theories) -> frozenset[Term]:
-    """Every term reachable from ``t`` by a single rewrite step modulo AC."""
-    rules = _compiled_rules(as_theories(theories))
-    out: set[Term] = set()
-    for lhs, rhs in rules:
-        for env in _match_cached(lhs, t):
-            out.add(substitute(rhs, dict(env)))
-    for i, a in enumerate(t.args):
-        for sub in one_step_rewrites(a, theories):
-            args = t.args[:i] + (sub,) + t.args[i + 1:]
-            out.add(eapp(t.sym, args) if t.kind == EAPP else capp(t.sym, args))
-    return frozenset(out)
 
 
 # --- variable abstraction ---------------------------------------------------
@@ -546,18 +380,3 @@ class Abstraction:
                 counts[atom] = counts.get(atom, 0) + c
             vec = self._vec[key] = MappingProxyType(_reduced(counts, theory))
         return vec
-
-
-def abstract(t: Term, theory: Theory, table: Abstraction) -> Term:
-    """Replace maximal alien subterms of a ground term by class variables.
-
-    Symbols of the given constituent are kept; everything else headed by a
-    symbol collapses to the table's variable for its class.
-    """
-    if t.kind == NAME:
-        return t
-    if t.kind == EAPP and t.sym in theory.symbols:
-        if not t.args:
-            return t
-        return eapp(t.sym, tuple(abstract(a, theory, table) for a in t.args))
-    return table.var_for(t)

@@ -39,8 +39,10 @@ class Term:
     tuple.  ``key`` is a precomputed structural sort key giving the total
     order used everywhere deterministic output matters.  ``vars`` is the
     frozenset of variables occurring in the term and ``size`` its number of
-    symbol, name and variable occurrences (see ``size``); both are filled
-    when the node is interned.
+    symbol, name and variable occurrences, where a flattened AC node with n
+    arguments counts as the n-1 binary applications it abbreviates, so size
+    agrees with the unflattened tree; both are filled when the node is
+    interned.
     """
 
     __slots__ = ("kind", "sym", "args", "key", "vars", "size", "__weakref__")
@@ -199,15 +201,6 @@ def subterms(t: Term) -> frozenset[Term]:
         seen.add(u)
         stack.extend(u.args)
     return frozenset(seen)
-
-
-def size(t: Term) -> int:
-    """Number of symbol, name and variable occurrences.
-
-    A flattened AC node with n arguments counts as the n-1 binary
-    applications it abbreviates, so size agrees with the unflattened tree.
-    """
-    return t.size
 
 
 def variables(t: Term) -> frozenset[Term]:

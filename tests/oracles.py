@@ -49,11 +49,21 @@ same messages, columns and depth bound.  reference_parse_term_list reads a
 comma-separated list the way terms.parse_term_list's one scan replaced: cut
 at the commas outside parentheses (terms._split_top, which parse_term_list
 also reads for text that fails), each part parsed on its own.
+
+rewrite_normalize is the rule-based rewriter that rewriting.normalize's
+vector evaluation replaced: the AC-convergent xor and ag rule sets
+(theory_rules, read off a theory's backend and AC symbol) plus their AC
+extensions, applied by matching modulo AC under an innermost or outermost
+strategy.  one_step_rewrites lists every one-step reduct, for confluence
+checks, and abstract replaces alien subterms by the class variables of an
+Abstraction table, for the simulation property of variable abstraction.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator
 
@@ -63,11 +73,12 @@ from intruder.constraints import (ConstraintSystem, Solution, Substitution, _app
 from intruder.elementary import ElemWitness
 from intruder.engine import _apply_left, _linear_proof, _right, _rules_for
 from intruder.proofs import S_LEFT_RULES, Derivation, Sequent
-from intruder.rewriting import (Abstraction, Theory, as_theories, normalize,
-                                theory_vector, vector_term)
+from intruder.rewriting import (Abstraction, Theory, as_theories, match_mod_ac,
+                                normalize, theory_vector, vector_term)
 from intruder import proofs, terms
 from intruder.terms import (AC_SYMBOLS, CAPP, CONSTRUCTOR_ARITY, EAPP, MAX_DEPTH, NAME,
-                            VAR, Term, capp, e_factors, eapp, sign, subterms, var)
+                            VAR, Term, capp, e_factors, eapp, sign, substitute,
+                            subterms, var)
 
 
 def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
@@ -117,6 +128,189 @@ def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
                 return _linear_proof(steps, delta, goal, rp)
         if not grew:
             return None
+
+
+# --- rule-based rewriting --------------------------------------------------------
+
+
+class NormalizationBudgetExceeded(RuntimeError):
+    """Raised when rewrite_normalize spends its step budget; suspect non-termination."""
+
+
+@dataclass(frozen=True)
+class RewriteRule:
+    lhs: Term
+    rhs: Term
+
+    def __post_init__(self):
+        if not self.rhs.vars <= self.lhs.vars:
+            raise ValueError("rewrite rule introduces variables on the right")
+
+
+_X, _Y = var("x"), var("y")
+_EXT_VAR = var("_z")  # reserved: the parser cannot produce a leading underscore
+
+DEFAULT_MAX_STEPS = 10 ** 6
+
+
+def _xor_rules(op: str) -> tuple[RewriteRule, ...]:
+    zero = eapp("0", ())
+    return (RewriteRule(eapp(op, (_X, _X)), zero),
+            RewriteRule(eapp(op, (_X, zero)), _X))
+
+
+def _ag_rules(op: str) -> tuple[RewriteRule, ...]:
+    one = eapp("1", ())
+    inv_x = eapp("inv", (_X,))
+    return (
+        RewriteRule(eapp(op, (_X, one)), _X),
+        RewriteRule(eapp(op, (_X, inv_x)), one),
+        RewriteRule(eapp("inv", (one,)), one),
+        RewriteRule(eapp("inv", (inv_x,)), _X),
+        RewriteRule(eapp("inv", (eapp(op, (_X, _Y)),)),
+                    eapp(op, (inv_x, eapp("inv", (_Y,))))),
+        RewriteRule(eapp(op, (_X, inv_x, _Y)), _Y),
+    )
+
+
+_RULE_SETS = {"xor": _xor_rules, "ag": _ag_rules}
+
+
+@lru_cache(maxsize=None)
+def theory_rules(th: Theory) -> tuple[RewriteRule, ...]:
+    """The AC-convergent rule set of a theory, by backend and AC symbol.
+
+    Plain AC and the empty theory have none.
+    """
+    make = _RULE_SETS.get(th.backend)
+    return make(th.ac_symbol) if make is not None else ()
+
+
+def _compiled_rules(theories, rules: Iterable[RewriteRule] | None
+                    ) -> tuple[tuple[Term, Term], ...]:
+    if rules is None:
+        rules = [r for th in as_theories(theories) for r in theory_rules(th)]
+    out = []
+    for rule in rules:
+        out.append((rule.lhs, rule.rhs))
+        lhs = rule.lhs
+        if lhs.kind == EAPP and lhs.sym in AC_SYMBOLS:
+            out.append((eapp(lhs.sym, lhs.args + (_EXT_VAR,)),
+                        eapp(lhs.sym, (rule.rhs, _EXT_VAR))))
+    return tuple(out)
+
+
+def _root_step(t: Term, rules) -> Term | None:
+    for lhs, rhs in rules:
+        for env in match_mod_ac(lhs, t):
+            return substitute(rhs, env)
+    return None
+
+
+def rewrite_normalize(t: Term, theories=(), max_steps: int = DEFAULT_MAX_STEPS,
+                      strategy: str = "innermost",
+                      rules: Iterable[RewriteRule] | None = None) -> Term:
+    """The normal form of ``t`` by rewriting with the theories' rules, or
+    with ``rules`` when given, plus their AC extensions (lhs + z -> rhs + z
+    for AC-headed left sides), which realizes class rewriting on the
+    flattened representation.
+
+    rewriting.normalize is tested against this; AC matching makes it
+    exponential in the width of a sum.  Convergence makes the redex
+    strategy irrelevant for the result, and both strategies exist so tests
+    can check exactly that.  Raises NormalizationBudgetExceeded after
+    max_steps rule applications.
+    """
+    compiled = _compiled_rules(theories, rules)
+    if not compiled:
+        return t
+    budget = [max_steps]
+    if strategy == "innermost":
+        return _norm_inner(t, compiled, budget, {})
+    if strategy == "outermost":
+        cur = t
+        while True:
+            nxt = _step_outer(cur, compiled)
+            if nxt is None:
+                return cur
+            _spend(budget)
+            cur = nxt
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _spend(budget: list[int]) -> None:
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise NormalizationBudgetExceeded("normalization step budget exhausted")
+
+
+def _rebuild(t: Term, args: tuple[Term, ...]) -> Term:
+    return eapp(t.sym, args) if t.kind == EAPP else capp(t.sym, args)
+
+
+def _norm_inner(t: Term, rules, budget, cache: dict[Term, Term]) -> Term:
+    done = cache.get(t)
+    if done is not None:
+        return done
+    cur = t
+    if cur.args:
+        args = tuple(_norm_inner(a, rules, budget, cache) for a in cur.args)
+        if args != cur.args:
+            cur = _rebuild(cur, args)
+    while True:
+        red = _root_step(cur, rules)
+        if red is None:
+            break
+        _spend(budget)
+        if red.args:
+            red = _rebuild(red, tuple(_norm_inner(a, rules, budget, cache)
+                                      for a in red.args))
+        cur = red
+    cache[t] = cur
+    cache[cur] = cur
+    return cur
+
+
+def _step_outer(t: Term, rules) -> Term | None:
+    red = _root_step(t, rules)
+    if red is not None:
+        return red
+    for i, a in enumerate(t.args):
+        sub = _step_outer(a, rules)
+        if sub is not None:
+            return _rebuild(t, t.args[:i] + (sub,) + t.args[i + 1:])
+    return None
+
+
+def one_step_rewrites(t: Term, theories) -> frozenset[Term]:
+    """Every term reachable from ``t`` by a single rewrite step modulo AC."""
+    return _one_step(t, _compiled_rules(theories, None))
+
+
+def _one_step(t: Term, rules) -> frozenset[Term]:
+    out: set[Term] = set()
+    for lhs, rhs in rules:
+        for env in match_mod_ac(lhs, t):
+            out.add(substitute(rhs, env))
+    for i, a in enumerate(t.args):
+        for sub in _one_step(a, rules):
+            out.add(_rebuild(t, t.args[:i] + (sub,) + t.args[i + 1:]))
+    return frozenset(out)
+
+
+def abstract(t: Term, theory: Theory, table: Abstraction) -> Term:
+    """Replace maximal alien subterms of a ground term by class variables.
+
+    Symbols of the given constituent are kept; everything else headed by a
+    symbol collapses to the table's variable for its class.
+    """
+    if t.kind == NAME:
+        return t
+    if t.kind == EAPP and t.sym in theory.symbols:
+        if not t.args:
+            return t
+        return eapp(t.sym, tuple(abstract(a, theory, table) for a in t.args))
+    return table.var_for(t)
 
 
 # --- term metadata by walking the term ------------------------------------------

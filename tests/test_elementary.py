@@ -91,7 +91,7 @@ def test_unit_goals_need_a_nonempty_gamma():
 
 def test_backend_required():
     with pytest.raises(ValueError):
-        elem_deduce(Theory("odd", {}, None, (), "nosuch"), [a], a)
+        Theory("odd", {}, None, "nosuch")
 
 
 _SOLVE_INT_UNDER_O = textwrap.dedent("""

@@ -188,6 +188,24 @@ def test_oracle_equivalence_xor():
         assert (d is not None) == nd_closure_oracle(gamma, goal, XORS)
 
 
+def test_oracle_equivalence_ac():
+    rng = random.Random(45)
+    names = [a, b, c, k]
+    yes = no = beyond = 0
+    for _ in range(400):
+        gamma, goal = gen_instance(rng, names, ACS, max_gamma=3, st_cap=12)
+        d = deduce_checked(gamma, goal, ACS)
+        try:
+            derivable = nd_closure_oracle(gamma, goal, ACS)
+        except OracleBoundExceeded:  # too many coefficient vectors to enumerate
+            beyond += 1
+            continue
+        assert (d is not None) == derivable, (gamma, goal)
+        yes, no = yes + (d is not None), no + (d is None)
+    assert yes >= 30 and no >= 30
+    assert beyond <= 10  # one today
+
+
 def gen_links(rng, theories, links=5):
     """Knowledge that opens link by link: each key is built from earlier payloads.
 

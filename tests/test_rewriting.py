@@ -3,15 +3,14 @@ import random
 
 import pytest
 
+from oracles import (NormalizationBudgetExceeded, RewriteRule, abstract,
+                     one_step_rewrites, rewrite_normalize, theory_rules)
 from intruder import rewriting
 from intruder.elementary import elem_deduce
 from intruder.engine import deduce
-from intruder.rewriting import (Abstraction, NormalizationBudgetExceeded,
-                                RewriteRule, Theory, abstract, ac_theory,
-                                ag_theory, as_theories, empty_theory,
-                                is_normal, make_theories, match_mod_ac,
-                                normalize, one_step_rewrites,
-                                rewrite_normalize, xor_theory)
+from intruder.rewriting import (Abstraction, Theory, ac_theory, ag_theory,
+                                as_theories, empty_theory, make_theories,
+                                match_mod_ac, normalize, xor_theory)
 from intruder.terms import (blind, capp, eapp, enc, name, pair, substitute,
                             var)
 
@@ -83,9 +82,9 @@ def test_ag_confluence_on_the_inverse_instance():
 
 
 def test_ag_has_the_six_rule_presentation():
-    assert len(ag_theory().rules) == 6
-    assert len(xor_theory().rules) == 2
-    assert ac_theory().rules == ()
+    assert len(theory_rules(ag_theory())) == 6
+    assert len(theory_rules(xor_theory())) == 2
+    assert theory_rules(ac_theory()) == ()
     assert empty_theory().symbols == {}
 
 
@@ -117,7 +116,6 @@ def test_normalize_strategy_independence(th):
         assert inner is outer
         assert normalize(t, (th,)) is inner
         assert normalize(inner, (th,)) is inner
-        assert is_normal(inner, (th,))
 
 
 def times(*ts):
@@ -240,8 +238,7 @@ def test_match_complete_against_brute_force(pattern, pvars):
 
 
 def test_abstract_quasi_theory_example():
-    th_h = Theory("h", {"h": 2}, None,
-                  (RewriteRule(eapp("h", (x, x)), x),), "empty")
+    th_h = Theory("h", {"h": 2}, None, "empty")
     table = Abstraction((th_h,))
     got = abstract(eapp("h", (pair(a, b), c)), th_h, table)
     v1 = table.var_for(pair(a, b))
@@ -292,13 +289,11 @@ def test_abstraction_simulates_rewriting(th):
 
 
 def test_normalization_budget():
-    loop = Theory("loop", {"f": 1}, None,
-                  (RewriteRule(eapp("f", (x,)), eapp("f", (eapp("f", (x,)),))),),
-                  "empty")
+    loop = (RewriteRule(eapp("f", (x,)), eapp("f", (eapp("f", (x,)),))),)
     with pytest.raises(NormalizationBudgetExceeded):
-        rewrite_normalize(eapp("f", (a,)), (loop,), max_steps=50)
+        rewrite_normalize(eapp("f", (a,)), rules=loop, max_steps=50)
     with pytest.raises(NormalizationBudgetExceeded):
-        rewrite_normalize(eapp("f", (a,)), (loop,), max_steps=50, strategy="outermost")
+        rewrite_normalize(eapp("f", (a,)), rules=loop, max_steps=50, strategy="outermost")
 
 
 def test_normalize_rejects_unknown_strategy():
@@ -307,23 +302,8 @@ def test_normalize_rejects_unknown_strategy():
 
 
 def test_normalize_refuses_rules_it_cannot_evaluate():
-    loop = Theory("loop", {"f": 1}, None,
-                  (RewriteRule(eapp("f", (x,)), eapp("f", (eapp("f", (x,)),))),),
-                  "empty")
-    with pytest.raises(ValueError):
-        normalize(eapp("f", (a,)), (loop,))
-    with pytest.raises(ValueError):
-        normalize(pair(a, eapp("f", (b,))), (loop,))
-    assert normalize(pair(a, b), (loop,)) is pair(a, b)  # no f: nothing to rewrite
-    # an xor-tagged theory with only the unit rule is not the built-in xor
-    half_xor = Theory("xor", {"+": 2, "0": 0}, "+", xor_theory().rules[1:], "xor")
-    with pytest.raises(ValueError):
-        normalize(plus(a, a), (half_xor,))
     with pytest.raises(ValueError):
         normalize(plus(a, a), (xor_theory(), ag_theory()))  # both interpret +
-    renaming = Theory("rename", {}, None, (RewriteRule(a, b),), "empty")
-    with pytest.raises(ValueError):
-        normalize(c, (renaming,))  # a rule at a name could apply anywhere
 
 
 def test_normalize_stays_off_the_match_cache():
@@ -360,4 +340,4 @@ def test_make_theories_validation():
 
 def test_theory_rejects_unreserved_ac_symbol():
     with pytest.raises(ValueError):
-        Theory("bad", {"@": 2}, "@", (), "empty")
+        Theory("bad", {"@": 2}, "@", "empty")

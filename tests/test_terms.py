@@ -14,7 +14,7 @@ from intruder.rewriting import (ag_theory, empty_theory, make_theories, normaliz
                                 xor_theory)
 from intruder.terms import (CAPP, EAPP, MAX_DEPTH, VAR, ParseError, blind, capp,
                             e_factors, eapp, enc, format_term, is_e_alien,
-                            name, pair, parse_term, parse_term_list, pub, sign, size,
+                            name, pair, parse_term, parse_term_list, pub, sign,
                             subterms, substitute, var, variables)
 
 a, b, c, d, k, m, r = (name(n) for n in "abcdkmr")
@@ -144,10 +144,10 @@ def test_saturate_quadratic_bound():
 
 
 def test_size_counts_symbols_names_variables():
-    assert size(a) == 1
-    assert size(pair(a, b)) == 3
-    assert size(plus(a, b, c)) == 5  # two binary applications
-    assert size(enc(pair(a, b), var("x"))) == 5
+    assert a.size == 1
+    assert pair(a, b).size == 3
+    assert plus(a, b, c).size == 5  # two binary applications
+    assert enc(pair(a, b), var("x")).size == 5
 
 
 def test_slots_agree_with_walking_oracles():
@@ -166,7 +166,7 @@ def test_slots_agree_with_walking_oracles():
     for u in seen:
         assert u.vars == walked_variables(u), u
         assert u.size == recursive_size(u), u
-        assert variables(u) is u.vars and size(u) == u.size
+        assert variables(u) is u.vars
     heads = {u.sym for u in seen if u.kind == EAPP}
     assert heads == {"+", "*", "inv", "0", "1"}
     assert any(u.kind == EAPP and len(u.args) > 2 for u in seen)  # flattened AC
@@ -187,7 +187,7 @@ def test_size_of_a_deep_chain_does_not_recurse():
     t = var("x")
     for _ in range(5000):
         t = pair(t, a)
-    assert size(t) == 10_001
+    assert t.size == 10_001
     assert variables(t) == {var("x")}
 
 
