@@ -23,42 +23,36 @@ from random import Random
 from typing import Iterable
 
 from .elementary import elem_deduce
-from .proofs import _RIGHT_FOR, Derivation, Sequent, left_parts
+from .proofs import _RIGHT_FOR, LEFT_RULES, Derivation, Sequent, left_parts
 from .rewriting import Abstraction, as_theories, normalize
-from .terms import CAPP, Term, e_factors, subterms
+from .terms import CAPP, CONSTRUCTOR_ARITY, Term, e_factors, subterms
 
 
-def right_deduce(gamma: Iterable[Term], goal: Term, theories,
-                 table: Abstraction | None = None,
-                 memo: dict | None = None) -> Derivation | None:
+def right_deduce(gamma: Iterable[Term], goal: Term, theories) -> Derivation | None:
     """An S proof of gamma |- goal from id and right rules alone, or None.
 
-    Inputs are assumed normalized; deduce() and the CLI normalize first.
+    Each id leaf's witness cites the one theory whose context builds its
+    goal.  Inputs are assumed normalized; deduce() and the CLI normalize
+    first.
     """
-    theories = as_theories(theories)
-    gamma = frozenset(gamma)
-    if table is None:
-        table = Abstraction(theories)
-    if memo is None:
-        memo = {}
-    return _right(gamma, goal, theories, table, memo)
+    return _right(frozenset(gamma), goal, Abstraction(theories), {})
 
 
-def _right(gamma, goal, theories, table, memo):
+def _right(gamma, goal, table, memo):
+    """right_deduce over the problem's table, which holds its theories."""
     key = (gamma, goal)
     if key in memo:
         return memo[key]
     found = None
-    for th in theories:
-        w = elem_deduce(th, gamma, goal, table, theories)
+    for th in table.theories:
+        w = elem_deduce(th, gamma, goal, table)
         if w is not None:
-            found = Derivation("S", "id", Sequent(gamma, goal), (),
-                               {"witness": w, "theory": th.name})
+            found = Derivation("S", "id", Sequent(gamma, goal), (), {"witness": w})
             break
     if found is None and goal.kind == CAPP and goal.sym in _RIGHT_FOR:
-        left = _right(gamma, goal.args[0], theories, table, memo)
+        left = _right(gamma, goal.args[0], table, memo)
         if left is not None:
-            right = _right(gamma, goal.args[1], theories, table, memo)
+            right = _right(gamma, goal.args[1], table, memo)
             if right is not None:
                 found = Derivation("S", _RIGHT_FOR[goal.sym], Sequent(gamma, goal),
                                    (left, right))
@@ -69,24 +63,22 @@ def _right(gamma, goal, theories, table, memo):
 # --- left-rule applicability ---------------------------------------------------
 
 
+# the L rule that takes apart each constructor head, from its row of LEFT_RULES
+_TAKES_APART = {kind: (l_rule,) for kind, _, _, l_rule in LEFT_RULES
+                if kind in CONSTRUCTOR_ARITY}
+
+
 def _rules_for(t: Term):
+    """The L rules that take t apart; unblinding needs a signed blind term."""
     if t.kind != CAPP:
         return ()
-    if t.sym == "pair":
-        return ("lp",)
-    if t.sym == "enc":
-        return ("le",)
-    if t.sym == "blind":
-        return ("blind1",)
-    if t.sym == "sign":
-        if t.args[0].kind == CAPP and t.args[0].sym == "blind":
-            return ("sign", "blind2")
-        return ("sign",)
-    return ()
+    if t.sym == "sign" and t.args[0].kind == CAPP and t.args[0].sym == "blind":
+        return ("sign", "blind2")
+    return _TAKES_APART.get(t.sym, ())
 
 
-def _apply_left(rule: str, principal: Term, gamma: frozenset[Term], goal: Term,
-                theories, table, memo, parts=None):
+def _apply_left(rule: str, principal: Term, gamma: frozenset[Term], table, memo,
+                parts=None):
     """(added terms, side proof or None) when the rule fires, else None.
 
     For the principal-based rules the principal must already be in gamma; for
@@ -101,7 +93,7 @@ def _apply_left(rule: str, principal: Term, gamma: frozenset[Term], goal: Term,
         return None
     proof = None
     if side is not None:
-        proof = _right(gamma, side, theories, table, memo)
+        proof = _right(gamma, side, table, memo)
         if proof is None:
             return None
     if added is None:
@@ -113,17 +105,16 @@ def _apply_left(rule: str, principal: Term, gamma: frozenset[Term], goal: Term,
 
 
 class _Candidate:
-    """A left rule at a principal (for ls, an alien factor and its theory),
-    with where the search has it: its place in the current pass, a lower
-    place an ls moves to for the next pass, and, once tried, what the rule
-    needs (left_parts with build False).  Places are distinct."""
+    """A left rule at a principal (for ls, an alien factor), with where the
+    search has it: its place in the current pass, a lower place an ls moves
+    to for the next pass, and, once tried, what the rule needs (left_parts
+    with build False).  Places are distinct."""
 
-    __slots__ = ("rule", "principal", "theory", "place", "next_place", "needs")
+    __slots__ = ("rule", "principal", "place", "next_place", "needs")
 
-    def __init__(self, rule: str, principal: Term, theory: str | None, place) -> None:
+    def __init__(self, rule: str, principal: Term, place) -> None:
         self.rule = rule
         self.principal = principal
-        self.theory = theory
         self.place = place
         self.next_place = None
         self.needs = None
@@ -137,10 +128,8 @@ def _linear_proof(steps, delta: frozenset[Term], goal: Term,
                   right_proof: Derivation) -> Derivation:
     """The one-branch L derivation: the recorded left steps above an r leaf."""
     node = Derivation("L", "r", Sequent(delta, goal), (), {"right": right_proof})
-    for rule, principal, th_name, side, before in reversed(steps):
+    for rule, principal, side, before in reversed(steps):
         aux: dict = {"principal": principal}
-        if th_name is not None:
-            aux["theory"] = th_name
         if side is not None:
             aux["right"] = side
         node = Derivation("L", rule, Sequent(before, goal), (node,), aux)
@@ -183,9 +172,9 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
     goal = normalize(goal, theories)
     table = Abstraction(theories)
     memo: dict = {}
-    steps: list[tuple[str, Term, str | None, Derivation | None, frozenset[Term]]] = []
+    steps: list[tuple[str, Term, Derivation | None, frozenset[Term]]] = []
 
-    rp = _right(delta, goal, theories, table, memo)
+    rp = _right(delta, goal, table, memo)
     if rp is not None:
         return _linear_proof(steps, delta, goal, rp)
 
@@ -204,7 +193,7 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
         out = []
         for t in terms:
             for i, rule in enumerate(_rules_for(t)):
-                out.append(_Candidate(rule, t, None, (0, t.key, i)))
+                out.append(_Candidate(rule, t, (0, t.key, i)))
         for i, th in equational:
             for t in sorted(hosts, key=_key):  # a factor's first host
                 for a in e_factors(t, th):
@@ -213,7 +202,7 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
                     at = (1, i, t.key, a.key)
                     cand = factors.get((a, th.name))
                     if cand is None:
-                        cand = factors[a, th.name] = _Candidate("ls", a, th.name, at)
+                        cand = factors[a, th.name] = _Candidate("ls", a, at)
                         out.append(cand)
                     elif rng is None and at < (cand.place if cand.next_place is None
                                                else cand.next_place):
@@ -271,7 +260,7 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
             needs = cand.needs
             if needs is None:
                 needs = cand.needs = left_parts(rule, principal, build=False)
-            hit = _apply_left(rule, principal, delta, goal, theories, table, memo, needs)
+            hit = _apply_left(rule, principal, delta, table, memo, needs)
             if hit is None:
                 park(cand)
                 continue
@@ -280,11 +269,11 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
             new = frozenset(added) - delta
             if not new:
                 continue
-            steps.append((rule, principal, cand.theory, side, delta))
+            steps.append((rule, principal, side, delta))
             delta = delta | new
             if not free or not goal_waits.isdisjoint(new):
                 goal_waits.difference_update(new)
-                rp = _right(delta, goal, theories, table, memo)
+                rp = _right(delta, goal, table, memo)
                 if rp is not None:
                     return _linear_proof(steps, delta, goal, rp)
             for _, th in equational:  # an ls of a term in Δ has nothing to add

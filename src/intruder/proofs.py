@@ -204,7 +204,7 @@ class _Checker:
         self.normal(added, "Gamma member")
 
     def check_s(self, d: Derivation) -> None:
-        g, m = d.conclusion.gamma, d.conclusion.goal
+        g = d.conclusion.gamma
         rule = d.rule
         if rule not in S_RULES:
             _fail(f"unknown S rule {rule!r}")
@@ -214,9 +214,7 @@ class _Checker:
         elif rule in S_RIGHT_RULES:
             _arity(d, 2)
             _same_gamma(d)
-            a, b = _shaped(m, _RIGHT_SYM[rule], "goal")
-            if d.premises[0].conclusion.goal is not a or d.premises[1].conclusion.goal is not b:
-                _fail(f"premise goals do not match the components of {m}")
+            _components(d, _RIGHT_SYM[rule])
         elif rule == "cut":
             _arity(d, 2)
             left = d.premises[0].conclusion
@@ -291,7 +289,7 @@ def _left_step(d: Derivation, theories) -> tuple[Term | None, tuple[Term, ...]]:
     (None for the pair and sign rules) and the terms it adds to Gamma."""
     g, m = d.conclusion.gamma, d.conclusion.goal
     if _LEFT_KIND[d.rule] == "abstract":
-        principal = d.aux.get("abstracted" if d.system == "S" else "principal")
+        principal = d.aux.get("principal")
         if not isinstance(principal, Term):
             _fail(f"{d.rule} needs the abstracted term in aux")
         if not _is_factor(principal, g, m, theories):
@@ -351,6 +349,15 @@ def _shaped(t: Term, sym: str, what: str) -> tuple[Term, ...]:
     return t.args
 
 
+def _components(d: Derivation, sym: str) -> None:
+    """The goal is a sym term and the premise goals are its components: the
+    check of an S right rule and of an N introduction."""
+    m = d.conclusion.goal
+    a, b = _shaped(m, sym, "goal")
+    if d.premises[0].conclusion.goal is not a or d.premises[1].conclusion.goal is not b:
+        _fail(f"premise goals do not match the components of {m}")
+
+
 def _check_n(d: Derivation, theories) -> None:
     g, m = d.conclusion.gamma, d.conclusion.goal
     rule = d.rule
@@ -362,11 +369,9 @@ def _check_n(d: Derivation, theories) -> None:
         _arity(d, 0)
         if m not in g:
             _fail(f"id goal {m} is not in Gamma")
-    elif rule in ("p_I", "e_I", "sign_I", "blind_I"):
+    elif rule in _INTRO_SYM:
         _arity(d, 2)
-        a, b = _shaped(m, _INTRO_SYM[rule], "goal")
-        if d.premises[0].conclusion.goal is not a or d.premises[1].conclusion.goal is not b:
-            _fail(f"premise goals do not match the components of {m}")
+        _components(d, _INTRO_SYM[rule])
     elif rule in _N_TO_S:
         # an elimination: its first premise proves the principal, a second
         # the side term or the held public key
@@ -530,12 +535,9 @@ def _linear_step(d: Derivation, cont: Derivation) -> Derivation:
     if rule is None:
         raise ValueError(f"unknown L rule {d.rule!r}")
     principal = d.aux["principal"]
-    aux = {"abstracted" if rule == "acut" else "principal": principal}
-    if "theory" in d.aux:
-        aux["theory"] = d.aux["theory"]
     side = left_parts(d.rule, principal)[0]
     premises = (cont,) if side is None else (_right_proof(d, side), cont)
-    return Derivation("S", rule, d.conclusion, premises, aux)
+    return Derivation("S", rule, d.conclusion, premises, {"principal": principal})
 
 
 def nd_to_seq(d: Derivation, theories) -> Derivation:
@@ -552,13 +554,10 @@ def nd_to_seq(d: Derivation, theories) -> Derivation:
     return _unfold(lambda node, g: _n2s(node, g, theories), d, gamma)
 
 
-def _member_witness(goal: Term, theories) -> ElemWitness:
-    return ElemWitness(theories[0].name, "empty", (goal,))
-
-
 def _id_node(g: frozenset[Term], goal: Term, theories) -> Derivation:
-    w = _member_witness(goal, theories)
-    return Derivation("S", "id", Sequent(g, goal), (), {"witness": w, "theory": w.theory})
+    """An id leaf whose goal is a member of g."""
+    w = ElemWitness(theories[0].name, "empty", (goal,))
+    return Derivation("S", "id", Sequent(g, goal), (), {"witness": w})
 
 
 def _cut(left: Derivation, right: Derivation) -> Derivation:
@@ -580,7 +579,7 @@ def _n2s(d: Derivation, g: frozenset[Term], theories):
         return _id_node(g, m, theories)
     if rule == "approx":
         return (yield d.premises[0], g)
-    if rule in ("p_I", "e_I", "sign_I", "blind_I"):
+    if rule in _INTRO_SYM:
         left = yield d.premises[0], g
         right = yield d.premises[1], g
         return Derivation("S", _RIGHT_FOR[m.sym], Sequent(g, m), (left, right))
@@ -611,8 +610,7 @@ def _n2s_fi(d: Derivation, g: frozenset[Term], m: Term, theories):
         subs.append((yield p, over))
         if goal not in over:
             over = over | {goal}
-    node = Derivation("S", "id", Sequent(over, m), (),
-                      {"witness": witness, "theory": witness.theory})
+    node = Derivation("S", "id", Sequent(over, m), (), {"witness": witness})
     for s in reversed(subs):
         node = _cut(s, node)
     return node
@@ -944,8 +942,8 @@ class _Reader:
                           for p in _field(obj, "premises", list)])
         aux: dict = {}
         for k, v in _field(obj, "aux", dict).items():
-            if k in ("principal", "abstracted"):
-                aux[k] = self.term_at(v)
+            if k in ("principal", "abstracted"):  # "abstracted": an older acut's key
+                aux["principal"] = self.term_at(v)
             elif k == "witness":
                 aux[k] = self.witness(v)
             elif k == "right":
@@ -1024,11 +1022,8 @@ def render_text(d: Derivation) -> str:
             left = ["...", *map(format_term, sorted(g - above, key=_key))]
         else:
             left = [format_term(t) for t in sorted(g, key=_key)]
-        note = ""
-        for k in ("principal", "abstracted"):
-            if k in node.aux:
-                note = f"  [{format_term(node.aux[k])}]"
-                break
+        principal = node.aux.get("principal")
+        note = "" if principal is None else f"  [{format_term(principal)}]"
         lines.append(f"{'  ' * depth}{node.rule}: {', '.join(left)} |- "
                      f"{format_term(node.conclusion.goal)}{note}")
         emb = node.aux.get("right")

@@ -24,10 +24,12 @@ BACKENDS = ("empty", "ac", "xor", "ag")
 
 
 class Theory:
-    """One equational constituent: signature, AC symbol, backend tag.
+    """One equational constituent: name, signature, AC symbol, backend tag.
 
-    xor and ag terms are normalized by vector evaluation; ac and empty
-    terms are canonical as the term representation builds them.
+    The name is what a witness cites, so the constituents of one
+    combination have distinct names.  xor and ag terms are normalized by
+    vector evaluation; ac and empty terms are canonical as the term
+    representation builds them.
     """
 
     def __init__(self, name: str, symbols: dict[str, int], ac_symbol: str | None,
@@ -65,6 +67,11 @@ def ag_theory(op: str = "+") -> Theory:
     return Theory("ag", {op: 2, "1": 0, "inv": 1}, op, "ag")
 
 
+@lru_cache(maxsize=None)
+def _renamed(th: Theory, name: str) -> Theory:
+    return Theory(name, th.symbols, th.ac_symbol, th.backend)
+
+
 THEORY_BUILDERS = {
     "empty": empty_theory,
     "ac": ac_theory,
@@ -77,6 +84,9 @@ def make_theories(names: Sequence[str]) -> tuple[Theory, ...]:
     """Instantiate builtin theories, assigning + then * to the AC users.
 
     The constituents of a combination must have pairwise disjoint signatures.
+    Each keeps its builtin name, which witnesses cite, except where two would
+    share it: the empty theory listed twice is one theory, and of two AC
+    theories the one on * is named ac*.
     """
     theories = []
     ops = iter(AC_SYMBOLS)
@@ -85,12 +95,17 @@ def make_theories(names: Sequence[str]) -> tuple[Theory, ...]:
         if builder is None:
             raise ValueError(f"unknown theory {n!r}")
         if n == "empty":
-            theories.append(builder())
+            if empty_theory() not in theories:
+                theories.append(empty_theory())
             continue
         try:
-            theories.append(builder(next(ops)))
+            op = next(ops)
         except StopIteration:
             raise ValueError("at most two AC theories can be combined") from None
+        th = builder(op)
+        if any(t.name == th.name for t in theories):
+            th = _renamed(th, th.name + op)
+        theories.append(th)
     seen: set[str] = set()
     for th in theories:
         overlap = seen & th.symbols.keys()

@@ -91,7 +91,7 @@ def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
     memo: dict = {}
     steps: list = []
 
-    rp = _right(delta, goal, theories, table, memo)
+    rp = _right(delta, goal, table, memo)
     if rp is not None:
         return _linear_proof(steps, delta, goal, rp)
 
@@ -100,7 +100,7 @@ def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
         candidates = []
         for t in sorted(delta, key=lambda u: u.key):
             for rule in _rules_for(t):
-                candidates.append((rule, t, None))
+                candidates.append((rule, t))
         factor_seen = set()
         for th in theories:
             if not th.symbols:
@@ -109,21 +109,21 @@ def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
                 for a in sorted(e_factors(t, th), key=lambda u: u.key):
                     if a not in delta and (a, th.name) not in factor_seen:
                         factor_seen.add((a, th.name))
-                        candidates.append(("ls", a, th.name))
+                        candidates.append(("ls", a))
         if rng is not None:
             rng.shuffle(candidates)
-        for rule, principal, th_name in candidates:
-            hit = _apply_left(rule, principal, delta, goal, theories, table, memo)
+        for rule, principal in candidates:
+            hit = _apply_left(rule, principal, delta, table, memo)
             if hit is None:
                 continue
             added, side = hit
             new = frozenset(added) - delta
             if not new:
                 continue
-            steps.append((rule, principal, th_name, side, delta))
+            steps.append((rule, principal, side, delta))
             delta = delta | new
             grew = True
-            rp = _right(delta, goal, theories, table, memo)
+            rp = _right(delta, goal, table, memo)
             if rp is not None:
                 return _linear_proof(steps, delta, goal, rp)
         if not grew:
@@ -438,7 +438,7 @@ def applicable(rule: str, principal: Term, gamma: Iterable[Term], goal: Term,
     if rule == "ls" and not _is_factor(principal, gamma | {goal}, theories):
         return None
     table = Abstraction(theories)
-    hit = _apply_left(rule, principal, gamma, goal, theories, table, {})
+    hit = _apply_left(rule, principal, gamma, table, {})
     if hit is None:
         return None
     added, _ = hit
@@ -926,8 +926,7 @@ def _n2s_fi(d: Derivation, conc: Sequent, theories, memo: dict) -> Derivation:
         subs[i] = weaken(s, added)
         if goals[i] not in g and goals[i] not in added:
             added.append(goals[i])
-    node = Derivation("S", "id", Sequent(g | set(goals), m), (),
-                      {"witness": witness, "theory": witness.theory})
+    node = Derivation("S", "id", Sequent(g | set(goals), m), (), {"witness": witness})
     for s in reversed(subs):
         node = proofs._cut(s, node)
     return node

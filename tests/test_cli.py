@@ -642,6 +642,28 @@ def test_no_subcommand_leaves_terms_in_cyclic_garbage(tmp_path, capsys):
     assert kept == []
 
 
+def test_two_ac_theories_prove_a_sum_each_witness_citing_its_own(tmp_path, capsys):
+    ac2 = ["--theory", "ac", "--theory", "ac"]
+    assert cli.main(["deduce", *ac2, "--knows", "a, b", "--goal", "a+b",
+                     "--emit-proof", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"theory": "ac", "kind": "ac"' in out
+    assert cli.main(["check", "--proof", write(tmp_path, out, "ac2.json"), *ac2]) == 0
+    assert capsys.readouterr().out.startswith("valid L proof of:")
+    # a product is built by the theory on *, named ac*
+    assert cli.main(["deduce", *ac2, "--knows", "a, b", "--goal", "a*b",
+                     "--emit-proof", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"theory": "ac*", "kind": "ac"' in out
+    product = write(tmp_path, out, "ac2_product.json")
+    assert cli.main(["translate", "--proof", product, "--direction", "seq2nd", *ac2]) == 0
+    nd = write(tmp_path, capsys.readouterr().out, "ac2_nd.json")
+    assert cli.main(["translate", "--proof", nd, "--direction", "nd2seq", *ac2]) == 0
+    seq = write(tmp_path, capsys.readouterr().out, "ac2_seq.json")
+    assert cli.main(["check", "--proof", seq, *ac2]) == 0
+    assert capsys.readouterr().out.startswith("valid S proof of:")
+
+
 def test_print_parse_round_trip_random():
     rng = random.Random(23)
     ths = make_theories(("xor", "ag"))

@@ -425,6 +425,99 @@ def test_json_round_trip():
             assert find_error(back, make_theories(th_names)) is None
 
 
+# linear_to_seq(deduce({a, b}, a+pair(a,b))) under ac, as an older writer
+# wrote it: a theory name beside each witness and on the left rule, and the
+# acut's term under "abstracted"
+OLDER_V2_ACUT_PROOF = """{
+  "system": "S",
+  "version": 2,
+  "terms": ["a", "b", "pair(a,b)", "a+pair(a,b)"],
+  "contexts": [{"parent": null, "add": [0, 1]}, {"parent": 0, "add": [2]}],
+  "nodes": [
+    {"system": "S", "rule": "id", "context": 0, "goal": 0, "aux": {"witness":
+      {"theory": "ac", "kind": "ac", "entries": [[0, 1]]}, "theory": "ac"}, "premises": []},
+    {"system": "S", "rule": "id", "context": 0, "goal": 1, "aux": {"witness":
+      {"theory": "ac", "kind": "ac", "entries": [[1, 1]]}, "theory": "ac"}, "premises": []},
+    {"system": "S", "rule": "p_R", "context": 0, "goal": 2, "aux": {}, "premises": [0, 1]},
+    {"system": "S", "rule": "id", "context": 1, "goal": 3, "aux": {"witness":
+      {"theory": "ac", "kind": "ac", "entries": [[0, 1], [2, 1]]}, "theory": "ac"},
+     "premises": []},
+    {"system": "S", "rule": "acut", "context": 0, "goal": 3,
+     "aux": {"abstracted": 2, "theory": "ac"}, "premises": [2, 3]}
+  ],
+  "root": 4
+}"""
+
+
+def test_an_older_version_2_proof_still_loads_and_checks():
+    d = loads(OLDER_V2_ACUT_PROOF)
+    assert d.rule == "acut" and d.aux["principal"] is pair(a, b)
+    assert find_error(d, ACS) is None
+    assert render_text(d).startswith("acut: a, b |- a+pair(a,b)  [pair(a,b)]\n")
+    assert find_error(seq_to_nd(d, ACS), ACS) is None
+    # written again, the acut's term is its principal, as on every left rule
+    assert to_json(d)["nodes"][-1]["aux"] == {"principal": 2, "theory": "ac"}
+
+
+# deduce({c*pair(a,b), c, d+e, e}, pair(a,d)) under xor on + and ag on *, as
+# an older writer wrote it: the theory on * is cited as "ag", by the witness
+# and on the ls step
+OLDER_V2_XOR_AG_PROOF = """{
+  "system": "L",
+  "version": 2,
+  "terms": ["c", "e", "c*pair(a,b)", "d+e", "pair(a,b)", "a", "b", "d", "pair(a,d)"],
+  "contexts": [{"parent": null, "add": [0, 1, 2, 3]}, {"parent": 0, "add": [4]},
+               {"parent": 1, "add": [5, 6]}],
+  "nodes": [
+    {"system": "S", "rule": "id", "context": 2, "goal": 5, "aux": {"witness":
+      {"theory": "xor", "kind": "xor", "entries": [5]}, "theory": "xor"}, "premises": []},
+    {"system": "S", "rule": "id", "context": 2, "goal": 7, "aux": {"witness":
+      {"theory": "xor", "kind": "xor", "entries": [1, 3]}, "theory": "xor"}, "premises": []},
+    {"system": "S", "rule": "p_R", "context": 2, "goal": 8, "aux": {}, "premises": [0, 1]},
+    {"system": "L", "rule": "r", "context": 2, "goal": 8, "aux": {"right": 2}, "premises": []},
+    {"system": "L", "rule": "lp", "context": 1, "goal": 8, "aux": {"principal": 4},
+     "premises": [3]},
+    {"system": "S", "rule": "id", "context": 0, "goal": 4, "aux": {"witness":
+      {"theory": "ag", "kind": "ag", "entries": [[0, -1], [2, 1]]}, "theory": "ag"},
+     "premises": []},
+    {"system": "L", "rule": "ls", "context": 0, "goal": 8,
+     "aux": {"principal": 4, "theory": "ag", "right": 5}, "premises": [4]}
+  ],
+  "root": 6
+}"""
+
+
+def test_an_older_combined_theory_proof_still_checks():
+    ths = make_theories(("xor", "ag"))
+    assert [th.name for th in ths] == ["xor", "ag"]
+    d = loads(OLDER_V2_XOR_AG_PROOF)
+    assert find_error(d, ths) is None
+    s = linear_to_seq(d)
+    assert find_error(s, ths) is None
+    assert find_error(seq_to_nd(s, ths), ths) is None
+
+
+@pytest.mark.parametrize("names,seed", [(("empty",), 71), (("xor",), 72), (("ag",), 73),
+                                        (("ac",), 74), (("xor", "ag"), 75),
+                                        (("ac", "ac"), 76)])
+def test_every_aux_key_written_is_one_the_checker_reads(names, seed):
+    ths = make_theories(names)
+    rng = random.Random(seed)
+    proved = 0
+    for _ in range(40):
+        gamma, goal = gen_instance(rng, [a, b, c, k], ths, st_cap=15)
+        d = deduce(gamma, goal, ths)
+        if d is None:
+            continue
+        proved += 1
+        s = linear_to_seq(d)
+        nd = seq_to_nd(s, ths)
+        for form in (d, s, nd, nd_to_seq(nd, ths)):
+            for node in _nodes_once(form):
+                assert node.aux.keys() <= {"principal", "witness", "right"}, node.aux
+    assert proved >= 5, proved
+
+
 def _proof_forms(theory_name, seed):
     """L, S and N proofs of the first three derivable random instances."""
     ths = make_theories((theory_name,))

@@ -325,6 +325,18 @@ def test_rule_variable_containment():
         RewriteRule(x, plus(x, y))
 
 
+@pytest.mark.parametrize("pair", itertools.product(rewriting.THEORY_BUILDERS, repeat=2))
+def test_combined_theories_have_distinct_names(pair):
+    try:
+        ths = make_theories(pair)
+    except ValueError:
+        return  # a combination make_theories refuses names nothing
+    if pair == ("ac", "ac"):
+        assert [th.name for th in ths] == ["ac", "ac*"]
+    else:  # every other combination keeps the builtin names older proofs cite
+        assert [th.name for th in ths] == list(dict.fromkeys(pair))
+
+
 def test_make_theories_validation():
     ths = make_theories(("xor", "ag"))
     assert ths[0].ac_symbol == "+" and ths[1].ac_symbol == "*"
@@ -332,6 +344,7 @@ def test_make_theories_validation():
         make_theories(("xor", "ag", "ac"))
     with pytest.raises(ValueError):
         make_theories(("xor", "xor"))  # both own the constant 0
+    assert make_theories(("empty", "empty")) == (empty_theory(),)
     with pytest.raises(ValueError):
         make_theories(("nosuch",))
     assert as_theories(()) == (empty_theory(),)
