@@ -13,7 +13,6 @@ from .proofs import (Derivation, Sequent, check, find_error,
 from .constraints import (Constraint, ConstraintSystem, Substitution, Solution,
                           proper, right, system, mgu, well_formed,
                           successors, solve, extract_solution, verify_solution,
-                          system_measure, measure_less, effective_public,
-                          parse_constraint_file)
+                          system_measure, measure_less, parse_constraint_file)
 
 __version__ = "0.1.0"

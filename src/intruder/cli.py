@@ -174,28 +174,27 @@ def cmd_constraints(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
+def _checked_proof(args):
+    """(theories, proof, find_error's message or None) for --theory and --proof."""
     theories = _theories_for(args, [])
     try:
         proof = proofs.loads(_read(args.proof))
     except ValueError as e:
         raise InputError(str(e)) from None
-    err = proofs.find_error(proof, theories)
+    return theories, proof, proofs.find_error(proof, theories)
+
+
+def cmd_check(args) -> int:
+    _theories, proof, err = _checked_proof(args)
     if err is None:
-        conc = proof.conclusion
-        print(f"valid {proof.system} proof of: {conc!r}")
+        print(f"valid {proof.system} proof of: {proof.conclusion!r}")
         return 0
     print(f"invalid: {err}")
     return 1
 
 
 def cmd_translate(args) -> int:
-    theories = _theories_for(args, [])
-    try:
-        proof = proofs.loads(_read(args.proof))
-    except ValueError as e:
-        raise InputError(str(e)) from None
-    err = proofs.find_error(proof, theories)
+    theories, proof, err = _checked_proof(args)
     if err is not None:
         raise InputError(f"input proof is invalid: {err}")
     try:

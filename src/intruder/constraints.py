@@ -33,7 +33,7 @@ from typing import Iterable
 from . import engine
 from .rewriting import make_theories
 from .terms import (CAPP, NAME, VAR, Term, format_term, parse_term, parse_term_list,
-                    substitute, variables)
+                    substitute, subterms, term_key, variables)
 
 PROPER = "proper"
 RIGHT = "right"
@@ -71,25 +71,31 @@ class Constraint:
         return self._hash
 
     def __repr__(self) -> str:
-        left = ", ".join(format_term(t) for t in sorted(self.sigma, key=lambda u: u.key))
+        left = ", ".join(format_term(t) for t in sorted(self.sigma, key=term_key))
         sep = "|-" if self.kind == PROPER else "|-R"
         return f"{left} {sep} {format_term(self.goal)}"
-
-    def is_solved(self) -> bool:
-        return self.solved
 
 
 @dataclass(frozen=True)
 class ConstraintSystem:
+    """A sequence of constraints and the public name that grounds them.
+
+    A public_name left as None is filled at construction with the least
+    name, in term order, that every knowledge set holds; it stays None when
+    no name is shared. An explicit public_name is kept as given.
+    """
     constraints: tuple[Constraint, ...]
     public_name: Term | None = None
+
+    def __post_init__(self) -> None:
+        if self.public_name is None:
+            shared = shared_names(self)
+            if shared:
+                object.__setattr__(self, "public_name", min(shared, key=term_key))
 
     def __repr__(self) -> str:
         head = [f"public {format_term(self.public_name)}"] if self.public_name else []
         return "\n".join(head + [repr(c) for c in self.constraints])
-
-    def is_solved(self) -> bool:
-        return _first_unsolved(self) == len(self.constraints)
 
     def variables(self) -> frozenset[Term]:
         out: set[Term] = set()
@@ -111,12 +117,7 @@ def right(sigma: Iterable[Term], goal: Term) -> Constraint:
 
 
 def system(*constraints: Constraint, public_name: Term | None = None) -> ConstraintSystem:
-    s = ConstraintSystem(tuple(constraints), public_name)
-    if public_name is None:
-        shared = shared_names(s)
-        if shared:
-            s = ConstraintSystem(s.constraints, min(shared, key=lambda t: t.key))
-    return s
+    return ConstraintSystem(tuple(constraints), public_name)
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,6 @@ class Substitution:
 
     def as_dict(self) -> dict[Term, Term]:
         return dict(self.pairs)
-
-    def is_identity(self) -> bool:
-        return not self.pairs
 
     def __call__(self, t: Term) -> Term:
         return substitute(t, self.as_dict())
@@ -195,11 +193,8 @@ def mgu(s: Term, t: Term) -> Substitution | None:
 
 
 def _constructor_only(t: Term) -> bool:
-    if t.kind in (NAME, VAR):
-        return True
-    if t.kind == CAPP and t.sym in _SPLITTABLE:
-        return all(_constructor_only(a) for a in t.args)
-    return False
+    return all(u.kind in (NAME, VAR) or (u.kind == CAPP and u.sym in _SPLITTABLE)
+               for u in subterms(t))
 
 
 def shared_names(s: ConstraintSystem) -> frozenset[Term]:
@@ -209,13 +204,6 @@ def shared_names(s: ConstraintSystem) -> frozenset[Term]:
         held = {t for t in c.sigma if t.kind == NAME}
         common = held if common is None else common & held
     return frozenset(common or ())
-
-
-def effective_public(s: ConstraintSystem) -> Term | None:
-    if s.public_name is not None:
-        return s.public_name
-    shared = shared_names(s)
-    return min(shared, key=lambda t: t.key) if shared else None
 
 
 def well_formed(s: ConstraintSystem) -> list[str]:
@@ -235,10 +223,9 @@ def well_formed(s: ConstraintSystem) -> list[str]:
             if not _constructor_only(t):
                 problems.append(f"constraint {i}: {format_term(t)} uses symbols "
                                 "outside pair, enc, names, and variables")
-    pub = effective_public(s)
-    if s.constraints and pub is None:
+    if s.constraints and s.public_name is None:
         problems.append("no public name is shared by every knowledge set")
-    elif s.public_name is not None:
+    else:
         for i, c in enumerate(s.constraints):
             if s.public_name not in c.sigma:
                 problems.append(f"public name {format_term(s.public_name)} missing "
@@ -283,9 +270,7 @@ def _recoverable(cs: tuple[Constraint, ...], i: int, j: int) -> bool:
     solution makes those goals deducible, so a syntactic derivation here
     witnesses the semantic containment for every solution.
     """
-    vi: set[Term] = set()
-    for t in cs[i].sigma:
-        vi |= t.vars
+    vi = cs[i].sigma_vars
     usable = {t for t in cs[j].sigma if t.vars <= vi}
     usable |= {cs[k].goal for k in range(i)}
     if not usable:
@@ -340,8 +325,6 @@ def _apply(s: ConstraintSystem, rule: str, index: int, member: Term | None,
     replaces a known pair by its components. C5 trades a known ciphertext for
     its payload and key, at the price of a right constraint on the key.
     """
-    if not 0 <= index < len(s.constraints):
-        return None
     c = s.constraints[index]
     before = s.constraints[:index]
     after = s.constraints[index + 1:]
@@ -449,7 +432,7 @@ def _reductions_at(s: ConstraintSystem, i: int):
     non-variable M has the same head, covered by C2.
     """
     c = s.constraints[i]
-    members = sorted(c.sigma, key=lambda t: t.key)
+    members = sorted(c.sigma, key=term_key)
     if c.kind == PROPER:
         pairs = [n for n in members if n.kind == CAPP and n.sym == "pair"]
         if pairs:
@@ -497,7 +480,6 @@ def _rebuilt(s: ConstraintSystem, i: int, x: Term) -> bool:
 class Solution:
     system: ConstraintSystem
     subst: Substitution
-    public: Term
 
     def __repr__(self) -> str:
         return f"Solution(subst={self.subst!r})"
@@ -520,7 +502,6 @@ def solve(s: ConstraintSystem, all_solutions: bool = False,
     problems = well_formed(s)
     if problems:
         raise ValueError("not well formed: " + "; ".join(problems))
-    pub = effective_public(s)
     orig_vars = s.variables()
 
     seen: set = set()
@@ -539,7 +520,7 @@ def solve(s: ConstraintSystem, all_solutions: bool = False,
             raise RuntimeError(f"gave up after exploring {max_nodes} systems")
         first = _first_unsolved(current)
         if first == len(current.constraints):
-            found.append(Solution(current, k[1], pub))
+            found.append(Solution(current, k[1]))
             return not all_solutions
         path.append((current, theta, successors(current, first)))
         return False
@@ -563,12 +544,12 @@ def solve(s: ConstraintSystem, all_solutions: bool = False,
 def extract_solution(sigma: Substitution, original: ConstraintSystem) -> Substitution:
     """Ground the recorded bindings: every variable of the original system is
     sent through sigma, and whatever variables remain go to the public name."""
-    pub = effective_public(original)
+    pub = original.public_name
     vs = original.variables()
     if vs and pub is None:
         raise ValueError("system has no public name to instantiate with")
     out: dict[Term, Term] = {}
-    for v in sorted(vs, key=lambda t: t.key):
+    for v in sorted(vs, key=term_key):
         t = sigma(v)
         fill = {u: pub for u in variables(t)}
         out[v] = substitute(t, fill)

@@ -18,10 +18,11 @@ echelon basis of the vectors of the Gamma members seen so far (GF(2)
 bitmask rows; integer rows kept a basis of the same lattice by extended-gcd
 steps).  Each row carries the combination of members it equals, updated by
 the same steps as the row, so the reduction that decides a goal also yields
-its witness, which cites its members in term order.  A call adds only the members the span has not seen, and
-rebuilds it when Gamma is not a superset of them; the engine's context only
-grows, so there it never does.  A witness can therefore depend on the order
-in which Gamma grew, not only on Gamma and the goal.
+its witness, which cites its members in term order.  A call adds only the
+members the span has not seen, and rebuilds it when Gamma is not a superset
+of them; the engine's context only grows, so there it never does.  A
+witness can therefore depend on the order in which Gamma grew, not only on
+Gamma and the goal.
 
 replay checks a witness in the same arithmetic: it sums each cited member's
 atom vector times its coefficient, in time linear in the witness's support,
@@ -34,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rewriting import (Abstraction, Theory, _reduced, as_theories, normalize,
                         theory_vector, vector_term)
-from .terms import Term
+from .terms import Term, term_key
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def elem_deduce(theory: Theory, gamma: Iterable[Term], goal: Term,
         table = Abstraction(theories)
     if theory.backend == "ac":
         # the search reads Gamma in term order, so one problem has one answer
-        return _decide_ac(theory, sorted(set(gamma), key=_key), goal, table)
+        return _decide_ac(theory, sorted(set(gamma), key=term_key), goal, table)
     gamma = frozenset(gamma)
     target = table.vector(goal, theory)
     if target:
@@ -71,15 +72,11 @@ def elem_deduce(theory: Theory, gamma: Iterable[Term], goal: Term,
         if entries is None:
             return None
     elif gamma:  # the unit: the paired context, filled twice with one member
-        g = min(gamma, key=_key)
+        g = min(gamma, key=term_key)
         entries = (g, g) if theory.backend == "xor" else ((g, 1), (g, -1))
     else:
         return None
     return ElemWitness(theory.name, theory.backend, entries)
-
-
-def _key(t: Term) -> tuple:
-    return t.key
 
 
 def replay(witness: ElemWitness, gamma: Iterable[Term], theories,
@@ -161,7 +158,7 @@ def _span(table: Abstraction, theory: Theory, gamma: frozenset[Term]) -> "_Span"
             new = gamma
         # in term order, so neither class variables nor witnesses depend
         # on the iteration order of a set
-        for g in sorted(new, key=_key):
+        for g in sorted(new, key=term_key):
             span.add(g, table.vector(g, theory))
         span.members = gamma
     return span
@@ -215,7 +212,7 @@ class _XorSpan(_Span):
         if m:
             return None
         return tuple(sorted((g for i, g in enumerate(self.added) if combo >> i & 1),
-                            key=_key))
+                            key=term_key))
 
     def _reduce(self, m: int, combo: int) -> tuple[int, int]:
         # a row's bits all lie at or above its key, so each step raises m's lowest bit
@@ -245,7 +242,7 @@ class _AgSpan(_Span):
     def add(self, member: Term, vec: Mapping[Term, int]) -> None:
         v, w = dict(vec), {member: 1}
         while v:
-            lead = min(v, key=_key)
+            lead = min(v, key=term_key)
             got = self.rows.get(lead)
             if got is None:
                 self.rows[lead] = (v, w)
@@ -268,13 +265,13 @@ class _AgSpan(_Span):
         v: dict[Term, int] = dict(vec)
         w: dict[Term, int] = {}
         while v:
-            lead = min(v, key=_key)
+            lead = min(v, key=term_key)
             got = self.rows.get(lead)
             if got is None or v[lead] % got[0][lead]:
                 return None
             q = v[lead] // got[0][lead]
             v, w = _combine(1, v, -q, got[0]), _combine(1, w, q, got[1])
-        return tuple((g, w[g]) for g in sorted(w, key=_key))
+        return tuple((g, w[g]) for g in sorted(w, key=term_key))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -313,21 +310,14 @@ _SPANS = {"xor": _XorSpan, "ag": _AgSpan}
 
 def _decide_ac(theory: Theory, gamma: list[Term], goal: Term,
                table: Abstraction) -> ElemWitness | None:
-    target = table.vector(goal, theory)
+    """Hole multiplicities: a natural-number solution of
+    sum(c_i * vector(gamma_i)) = vector(goal), exact and with total >= 1."""
     vecs = [table.vector(g, theory) for g in gamma]
-    counts = _solve_nat(vecs, target)
-    if counts is None:
+    counts = _nat_from(vecs, 0, dict(table.vector(goal, theory)))
+    if counts is None or not any(counts):
         return None
     entries = tuple((g, c) for g, c in zip(gamma, counts) if c)
     return ElemWitness(theory.name, "ac", entries)
-
-
-def _solve_nat(vecs: list[Mapping[Term, int]], target: Mapping[Term, int]) -> list[int] | None:
-    """Natural-number solution of sum(c_i * vec_i) = target, exact and total >= 1."""
-    sol = _nat_from(vecs, 0, dict(target))
-    if sol is None or not any(sol):
-        return None
-    return sol
 
 
 def _nat_from(vecs: list[Mapping[Term, int]], i: int,

@@ -25,7 +25,7 @@ from typing import Iterable
 from .elementary import elem_deduce
 from .proofs import _RIGHT_FOR, LEFT_RULES, Derivation, Sequent, left_parts
 from .rewriting import Abstraction, as_theories, normalize
-from .terms import CAPP, CONSTRUCTOR_ARITY, Term, e_factors, subterms
+from .terms import CAPP, CONSTRUCTOR_ARITY, Term, e_factors, subterms, term_key
 
 
 def right_deduce(gamma: Iterable[Term], goal: Term, theories) -> Derivation | None:
@@ -121,7 +121,6 @@ class _Candidate:
 
 
 _place = attrgetter("place")
-_key = attrgetter("key")
 
 
 def _linear_proof(steps, delta: frozenset[Term], goal: Term,
@@ -195,7 +194,7 @@ def deduce(gamma: Iterable[Term], goal: Term, theories,
             for i, rule in enumerate(_rules_for(t)):
                 out.append(_Candidate(rule, t, (0, t.key, i)))
         for i, th in equational:
-            for t in sorted(hosts, key=_key):  # a factor's first host
+            for t in sorted(hosts, key=term_key):  # a factor's first host
                 for a in e_factors(t, th):
                     if a in delta:
                         continue

@@ -22,7 +22,8 @@ from typing import Iterable
 
 from .elementary import ElemWitness, replay
 from .rewriting import Theory, as_theories, normalize, normalizes_nothing
-from .terms import CAPP, EAPP, Term, capp, eapp, e_factors, format_term, parse_term, sign
+from .terms import (CAPP, EAPP, Term, capp, eapp, e_factors, format_term, parse_term, sign,
+                    term_key)
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class Sequent:
     goal: Term
 
     def __repr__(self) -> str:
-        left = ", ".join(format_term(t) for t in sorted(self.gamma, key=lambda u: u.key))
+        left = ", ".join(format_term(t) for t in sorted(self.gamma, key=term_key))
         return f"{left} |- {format_term(self.goal)}"
 
 
@@ -824,7 +825,7 @@ class _Writer:
             parent, added = None, g
         self.context_index[g] = len(self.contexts)
         self.contexts.append({"parent": parent,
-                              "add": [self.term(t) for t in sorted(added, key=_key)]})
+                              "add": [self.term(t) for t in sorted(added, key=term_key)]})
 
     def walk(self, root: Derivation) -> int:
         """Write every node below root, premises first; root's index."""
@@ -997,10 +998,6 @@ def _malformed(reason: str) -> ValueError:
     return ValueError(f"malformed proof object: {reason}")
 
 
-def _key(t: Term) -> tuple:
-    return t.key
-
-
 def render_text(d: Derivation) -> str:
     """One line per node, premises indented under their conclusion, a right
     proof first.  Below the root, "..." stands for the Gamma of the line the
@@ -1019,9 +1016,9 @@ def render_text(d: Derivation) -> str:
         printed[id(node)] = len(lines) + 1
         g = node.conclusion.gamma
         if above is not None and above <= g:
-            left = ["...", *map(format_term, sorted(g - above, key=_key))]
+            left = ["...", *map(format_term, sorted(g - above, key=term_key))]
         else:
-            left = [format_term(t) for t in sorted(g, key=_key)]
+            left = [format_term(t) for t in sorted(g, key=term_key)]
         principal = node.aux.get("principal")
         note = "" if principal is None else f"  [{format_term(principal)}]"
         lines.append(f"{'  ' * depth}{node.rule}: {', '.join(left)} |- "

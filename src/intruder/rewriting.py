@@ -18,7 +18,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .terms import AC_SYMBOLS, EAPP, NAME, VAR, Term, capp, eapp, var
+from .terms import AC_SYMBOLS, EAPP, NAME, VAR, Term, capp, eapp, term_key, var
 
 BACKENDS = ("empty", "ac", "xor", "ag")
 
@@ -205,7 +205,7 @@ def _match_ac_rec(sym: str, pargs: list[Term], sargs: Counter,
             ext[p] = _ac_join(sym, sub)
             yield from _match_ac_rec(sym, rest, sargs - sub, ext)
         return
-    for u in sorted(+sargs, key=lambda t: t.key):
+    for u in sorted(+sargs, key=term_key):
         for env2 in _match(p, u, env):
             yield from _match_ac_rec(sym, rest, sargs - Counter((u,)), env2)
 

@@ -20,13 +20,13 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
+from operator import attrgetter
 from typing import Iterable
 
 NAME, VAR, CAPP, EAPP = range(4)  # also the major sort rank of a head
 
 CONSTRUCTOR_ARITY = {"pub": 1, "sign": 2, "blind": 2, "pair": 2, "enc": 2}
 AC_SYMBOLS = ("+", "*")
-E_FUNCTION_ARITY = {"+": 2, "*": 2, "inv": 1, "0": 0, "1": 0}
 
 _IDENT = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
@@ -62,6 +62,10 @@ class Term:
 
     def __str__(self) -> str:
         return format_term(self)
+
+
+# the sort key of the term order: sorted(terms, key=term_key)
+term_key = attrgetter("key")
 
 
 class _Ref(weakref.ref):
@@ -166,7 +170,7 @@ def eapp(sym: str, args: Iterable[Term]) -> Term:
             raise ValueError(f"AC symbol {sym!r} needs at least one argument")
         if len(flat) == 1:
             return flat[0]
-        return _mk(EAPP, sym, tuple(sorted(flat, key=lambda t: t.key)))
+        return _mk(EAPP, sym, tuple(sorted(flat, key=term_key)))
     return _mk(EAPP, sym, args)
 
 

@@ -68,7 +68,7 @@ from random import Random
 from typing import Iterable, Iterator
 
 from intruder.constraints import (ConstraintSystem, Solution, Substitution, _apply,
-                                  _originating, effective_public, system_measure,
+                                  _first_unsolved, _originating, system_measure,
                                   well_formed)
 from intruder.elementary import ElemWitness
 from intruder.engine import _apply_left, _linear_proof, _right, _rules_for
@@ -622,7 +622,6 @@ def exhaustive_solve(s: ConstraintSystem, max_nodes: int = 200_000) -> list[Solu
     problems = well_formed(s)
     if problems:
         raise ValueError("; ".join(problems))
-    pub = effective_public(s)
     orig_vars = s.variables()
     seen: set = set()
     found: list[Solution] = []
@@ -636,8 +635,8 @@ def exhaustive_solve(s: ConstraintSystem, max_nodes: int = 200_000) -> list[Solu
         seen.add(key)
         if len(seen) > max_nodes:
             raise RuntimeError(f"gave up after exploring {max_nodes} systems")
-        if current.is_solved():
-            found.append(Solution(current, theta, pub))
+        if _first_unsolved(current) == len(current.constraints):
+            found.append(Solution(current, theta))
             continue
         for _rule, _i, _n, nxt, delta in exhaustive_successors(current):
             stack.append((nxt, theta.compose(delta)))

@@ -8,8 +8,8 @@ from oracles import (exhaustive_solve, multiset_less, recursive_size, step,
                      walked_variables)
 from test_acceptance import NAMES_DESK, X, Y, _desk_terms, desk_systems
 from intruder import constraints
-from intruder.constraints import (PROPER, RIGHT, Constraint, RULES, Substitution,
-                                  extract_solution, measure_less, mgu,
+from intruder.constraints import (PROPER, RIGHT, Constraint, ConstraintSystem, RULES,
+                                  Substitution, extract_solution, measure_less, mgu,
                                   parse_constraint_file, parse_constraint_line,
                                   proper, right, shared_names, solve, successors,
                                   system, system_measure, verify_solution,
@@ -26,7 +26,7 @@ def test_mgu_examples():
     got = mgu(pair(x, enc(x, var("k"))), pair(a, enc(a, b)))
     assert got.as_dict() == {x: a, var("k"): b}
     assert mgu(pair(a, b), enc(a, b)) is None
-    assert mgu(a, a).is_identity()
+    assert not mgu(a, a).pairs
 
 
 def test_substitution_operations():
@@ -34,7 +34,7 @@ def test_substitution_operations():
     s2 = Substitution.of({y: b})
     assert s1.compose(s2).as_dict() == {x: pair(b, a), y: b}
     assert s1.compose(s2).restrict([x]).as_dict() == {x: pair(b, a)}
-    assert Substitution.of({x: x}).is_identity()
+    assert not Substitution.of({x: x}).pairs
     cs = proper({x}, y)
     got = Substitution.of({x: a, y: b}).apply_constraint(cs)
     assert got == proper({a}, b)
@@ -86,7 +86,7 @@ def test_solve_already_solved():
     s = system(right({a}, x))
     sols = solve(s, all_solutions=True)
     assert len(sols) == 1
-    assert sols[0].subst.is_identity()
+    assert not sols[0].subst.pairs
     assert extract_solution(sols[0].subst, s).as_dict() == {x: a}
 
 
@@ -244,20 +244,45 @@ def test_equal_constraints_built_apart_stay_equal():
     assert {system(c1): 1}[system(c2)] == 1
 
 
-def test_the_hash_is_cached_and_the_first_unsolved_found_in_one_scan(monkeypatch):
+def test_the_hash_is_cached_and_the_first_unsolved_found_in_one_scan():
     systems = list(desk_systems(400))
     for s in systems:
         first = constraints._first_unsolved(s)
         flags = [c.kind == RIGHT and c.goal.kind == VAR for c in s.constraints]
         assert first == (flags.index(False) if False in flags else len(flags))
-        assert s.is_solved() == all(flags)
+        assert [c.solved for c in s.constraints] == flags
         assert list(successors(s, first)) == list(successors(s))
         for c in s.constraints:
-            assert c.solved == c.is_solved() and hash(c) == hash((c.kind, c.sigma, c.goal))
-    # solve decides whether a system is solved without a per-constraint call
-    monkeypatch.setattr(Constraint, "is_solved", None)
-    monkeypatch.setattr(constraints.ConstraintSystem, "is_solved", None)
+            assert hash(c) == hash((c.kind, c.sigma, c.goal))
     assert sum(len(solve(s, all_solutions=True)) for s in systems) > 0
+
+
+def test_a_system_has_one_public_name_however_it_is_built():
+    starts = list(desk_systems(400))
+    for s in starts:
+        cs = s.constraints
+        assert ConstraintSystem(cs).public_name == system(*cs).public_name
+    # an explicit name is kept, even when a smaller name is shared
+    s = system(right({a, b}, x), proper({a, b, enc(x, b)}, x), public_name=b)
+    assert s.public_name is b and ConstraintSystem(s.constraints, b).public_name is b
+
+    def reached(start):
+        out = []
+        solve(start, all_solutions=True, on_edge=lambda *edge: out.append(edge[-1]))
+        return out
+
+    assert reached(s)
+    for start in [s] + starts:
+        assert all(t.public_name is start.public_name for t in reached(start))
+
+
+def test_a_deep_pair_goal_is_checked_and_solved_without_recursing():
+    t = a
+    for _ in range(3000):
+        t = pair(a, t)
+    s = system(right({a}, t))
+    assert well_formed(s) == []
+    assert len(solve(s)) == 1
 
 
 def test_well_formed_names_the_violated_condition():
