@@ -311,9 +311,16 @@ _SPANS = {"xor": _XorSpan, "ag": _AgSpan}
 def _decide_ac(theory: Theory, gamma: list[Term], goal: Term,
                table: Abstraction) -> ElemWitness | None:
     """Hole multiplicities: a natural-number solution of
-    sum(c_i * vector(gamma_i)) = vector(goal), exact and with total >= 1."""
-    vecs = [table.vector(g, theory) for g in gamma]
-    counts = _nat_from(vecs, 0, dict(table.vector(goal, theory)))
+    sum(c_i * vector(gamma_i)) = vector(goal), exact and with total >= 1.
+
+    A member whose vector holds an atom the goal's vector lacks can only
+    take count 0, so it is dropped before the search, which runs over the
+    rest in Gamma's order and finds the solution a search over all of
+    Gamma finds first.
+    """
+    target = table.vector(goal, theory)
+    gamma = [g for g in gamma if table.vector(g, theory).keys() <= target.keys()]
+    counts = _nat_from([table.vector(g, theory) for g in gamma], 0, target)
     if counts is None or not any(counts):
         return None
     entries = tuple((g, c) for g, c in zip(gamma, counts) if c)
@@ -321,32 +328,29 @@ def _decide_ac(theory: Theory, gamma: list[Term], goal: Term,
 
 
 def _nat_from(vecs: list[Mapping[Term, int]], i: int,
-              remaining: dict[Term, int]) -> list[int] | None:
+              remaining: Mapping[Term, int]) -> list[int] | None:
     """Counts for vecs[i:] that sum to ``remaining``, largest first.
 
-    A module-level function, not a closure: a nested function that calls
-    itself holds its own cell, a cycle that keeps the vectors' terms alive
-    until the cyclic collector runs.
+    The vectors are those _decide_ac kept, each within the goal's atoms.  A
+    count never exceeds what ``remaining`` holds of each atom of its vector,
+    so no residual goes negative, and ``remaining`` is never written: count
+    0 passes it on as it is.  A module-level function, not a closure: a
+    nested function that calls itself holds its own cell, a cycle that
+    keeps the vectors' terms alive until the cyclic collector runs.
     """
     if not remaining:
         return [0] * (len(vecs) - i)
     if i == len(vecs):
         return None
     v = vecs[i]
-    bound = min((remaining.get(a, 0) // c for a, c in v.items()), default=0)
-    for c in range(bound, -1, -1):
+    for c in range(min((remaining.get(a, 0) // n for a, n in v.items()), default=0), 0, -1):
         rest = dict(remaining)
-        ok = True
         for a, n in v.items():
-            rest[a] = rest.get(a, 0) - c * n
-            if rest[a] < 0:
-                ok = False
-                break
+            rest[a] -= c * n
             if not rest[a]:
                 del rest[a]
-        if not ok:
-            continue
         tail = _nat_from(vecs, i + 1, rest)
         if tail is not None:
             return [c] + tail
-    return None
+    tail = _nat_from(vecs, i + 1, remaining)
+    return None if tail is None else [0] + tail

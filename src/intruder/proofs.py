@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .elementary import ElemWitness, replay
-from .rewriting import Theory, as_theories, normalize, normalizes_nothing
+from .rewriting import Theory, as_theories, normalize
 from .terms import (CAPP, EAPP, Term, capp, eapp, e_factors, format_term, parse_term, sign,
                     term_key)
 
@@ -109,8 +109,6 @@ class _Checker:
     def __init__(self, theories, root: Derivation):
         self.theories = theories
         self.root = root
-        self.normal_seen: dict[Term, bool] = {}
-        self.all_normal = normalizes_nothing(theories)
 
     def run(self) -> str | None:
         # a frame is (node, inside a right proof, parent frame, premise index
@@ -174,14 +172,8 @@ class _Checker:
         self.check_s(d)
 
     def normal(self, terms: Iterable[Term], what: str) -> None:
-        if self.all_normal:
-            return
-        seen = self.normal_seen
         for t in terms:
-            ok = seen.get(t)
-            if ok is None:
-                ok = seen[t] = normalize(t, self.theories) is t
-            if not ok:
+            if normalize(t, self.theories) is not t:
                 _fail(f"{what} {t} is not in normal form")
 
     def sequent_normal(self, d: Derivation) -> None:

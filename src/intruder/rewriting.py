@@ -308,33 +308,30 @@ def _evaluation(theories: tuple[Theory, ...]) -> dict[str, Theory]:
     return evaluated
 
 
-def normalizes_nothing(theories) -> bool:
-    """Whether every term is its own normal form: no xor or ag constituent."""
-    return not _evaluation(as_theories(theories))
-
-
 def normalize(t: Term, theories) -> Term:
     """The unique normal form of ``t`` modulo AC, computed by evaluation.
 
     Bottom-up, each node headed by an xor or ag symbol (or ``inv``) reads
     its normalized arguments as an atom vector, reduces it and rebuilds the
     term (theory_vector, vector_term); every other node is rebuilt from its
-    normalized arguments, which re-flattens AC symbols.  Raises ValueError
-    when two constituents both interpret one symbol.
+    normalized arguments, which re-flattens AC symbols.  Results are
+    remembered per term and evaluation map (the term's ``nf_of`` and ``nf``
+    slots), each normal form as its own, so a known normal form costs O(1)
+    and a shared subterm is evaluated once.  Raises ValueError when two
+    constituents both interpret one symbol.
     """
     evaluated = _evaluation(as_theories(theories))
     if not evaluated:
         return t
-    return _eval(t, evaluated, {})
+    return _eval(t, evaluated)
 
 
-def _eval(t: Term, evaluated: dict[str, Theory], memo: dict[Term, Term]) -> Term:
-    done = memo.get(t)
-    if done is not None:
-        return done
+def _eval(t: Term, evaluated: dict[str, Theory]) -> Term:
+    if t.nf_of is evaluated:
+        return t.nf or t
     out = t
     if t.args:
-        args = tuple(_eval(a, evaluated, memo) for a in t.args)
+        args = tuple(_eval(a, evaluated) for a in t.args)
         th = evaluated.get(t.sym) if t.kind == EAPP else None
         if th is not None:
             counts: dict[Term, int] = {}
@@ -344,7 +341,11 @@ def _eval(t: Term, evaluated: dict[str, Theory], memo: dict[Term, Term]) -> Term
             out = vector_term(counts, th)
         elif args != t.args:
             out = eapp(t.sym, args) if t.kind == EAPP else capp(t.sym, args)
-    memo[t] = out
+        # nf_of before nf: replacing nf can free a term and run Python code,
+        # and another thread must not find nf_of new and nf old
+        if out is not t:
+            out.nf_of, out.nf = evaluated, None
+    t.nf_of, t.nf = evaluated, None if out is t else out
     return out
 
 
@@ -357,27 +358,22 @@ class Abstraction:
     Keys are normal forms under the combined theory, so two terms get the
     same variable exactly when they are equal modulo E.  One table serves
     all constituents of one problem instance, and memoizes per term the
-    class variable and the abstracted vector, so each term is normalized
-    and read once per problem.  It also holds the elementary backends'
-    spans of the problem's context (see elementary).
+    abstracted vector, so each term is read once per problem.  It also
+    holds the elementary backends' spans of the problem's context (see
+    elementary).
     """
 
     def __init__(self, theories):
         self.theories = as_theories(theories)
         self.table: dict[Term, Term] = {}
-        self._var: dict[Term, Term] = {}
         self._vec: dict[tuple[Term, Theory], Mapping[Term, int]] = {}
         self.spans: dict[Theory, object] = {}  # theory -> elementary's span
 
     def var_for(self, t: Term) -> Term:
-        v = self._var.get(t)
+        key = normalize(t, self.theories)
+        v = self.table.get(key)
         if v is None:
-            key = normalize(t, self.theories)
-            v = self.table.get(key)
-            if v is None:
-                v = var(f"v{len(self.table) + 1}")
-                self.table[key] = v
-            self._var[t] = v
+            v = self.table[key] = var(f"v{len(self.table) + 1}")
         return v
 
     def vector(self, t: Term, theory: Theory) -> Mapping[Term, int]:

@@ -13,7 +13,9 @@ cyclic collector could free, so variables are pinned for the life of the
 process.  Every other term is freed by reference counting as soon as its
 last user drops it.  A node's variable set and size are computed once, from
 its children's, when the node is interned, and kept in its ``vars`` and
-``size`` slots.
+``size`` slots.  Its normal form, once computed, is kept in ``nf`` with the
+evaluation map it holds under in ``nf_of``; ``nf`` is None when the term is
+its own normal form, so no term references itself.
 """
 from __future__ import annotations
 
@@ -42,10 +44,12 @@ class Term:
     symbol, name and variable occurrences, where a flattened AC node with n
     arguments counts as the n-1 binary applications it abbreviates, so size
     agrees with the unflattened tree; both are filled when the node is
-    interned.
+    interned.  ``nf`` is the normal form under the evaluation map ``nf_of``
+    (None when the term is its own); rewriting.normalize fills both, and
+    ``nf_of`` is None until it first reaches the term.
     """
 
-    __slots__ = ("kind", "sym", "args", "key", "vars", "size", "__weakref__")
+    __slots__ = ("kind", "sym", "args", "key", "vars", "size", "nf_of", "nf", "__weakref__")
 
     kind: int
     sym: str
@@ -53,6 +57,8 @@ class Term:
     key: tuple
     vars: frozenset[Term]
     size: int
+    nf_of: dict | None
+    nf: Term | None
 
     def __lt__(self, other: Term) -> bool:
         return self.key < other.key
@@ -102,6 +108,7 @@ def _mk(kind: int, sym: str, args: tuple[Term, ...]) -> Term:
     t.kind = kind
     t.sym = sym
     t.args = args
+    t.nf_of = None
     if args:
         # a flattened AC node stands for n-1 binary applications
         n = len(args) - 1 if kind == EAPP and sym in AC_SYMBOLS else 1

@@ -33,7 +33,9 @@ Counters from its definition.
 decide_xor and decide_ag are the elementary deciders that the xor and ag
 spans replaced: GF(2) and exact integer elimination over the whole of a
 sorted Gamma on every call (solve_gf2, solve_int), each returning its own
-witness.
+witness.  reference_solve_nat is the AC search that elementary._decide_ac's
+pruned one replaced: every member of Gamma in order, each count tried
+largest first down to 0, with the residual copied for every count.
 
 reference_seq_to_nd and reference_nd_to_seq are the proof translations
 that proofs.seq_to_nd and nd_to_seq replaced.  They recurse once per node
@@ -65,7 +67,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from intruder.constraints import (ConstraintSystem, Solution, Substitution, _apply,
                                   _first_unsolved, _originating, system_measure,
@@ -779,6 +781,33 @@ def solve_int(rows: list[list[int]], b: list[int]) -> list[int] | None:
         if sum(rows[r][i] * x[i] for i in range(n)) != b[r]:
             raise RuntimeError("integer elimination returned an inexact solution")
     return x
+
+
+def reference_solve_nat(vecs: list[Mapping[Term, int]], i: int,
+                        remaining: dict[Term, int]) -> list[int] | None:
+    """Counts for vecs[i:] that sum to ``remaining``, largest first."""
+    if not remaining:
+        return [0] * (len(vecs) - i)
+    if i == len(vecs):
+        return None
+    v = vecs[i]
+    bound = min((remaining.get(a, 0) // c for a, c in v.items()), default=0)
+    for c in range(bound, -1, -1):
+        rest = dict(remaining)
+        ok = True
+        for a, n in v.items():
+            rest[a] = rest.get(a, 0) - c * n
+            if rest[a] < 0:
+                ok = False
+                break
+            if not rest[a]:
+                del rest[a]
+        if not ok:
+            continue
+        tail = reference_solve_nat(vecs, i + 1, rest)
+        if tail is not None:
+            return [c] + tail
+    return None
 
 
 # --- reference proof translations ----------------------------------------------

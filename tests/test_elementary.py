@@ -435,3 +435,54 @@ def test_span_grown_with_gamma_agrees_with_elimination(backend, monkeypatch):
     assert answers == {(True, True), (True, False), (False, False)}
     if th is AG:
         assert gcd_steps > 0
+
+
+def test_pruned_ac_search_agrees_with_the_unpruned_oracle():
+    # Natural vectors over the atoms a..f: goals over a random subset of
+    # them, members that fit inside the goal, members with an atom the goal
+    # lacks (which only count 0 could use) and duplicates.  _decide_ac over
+    # the full member list must give the oracle's verdict and witness.
+    rng = random.Random(41)
+    atoms = [name(n) for n in "abcdef"]
+
+    def term(vec):
+        return fold("+", [x for x, n in vec.items() for _ in range(n)])
+
+    def random_vec(over):
+        picked = rng.sample(over, rng.randint(1, min(3, len(over))))
+        return {x: rng.randint(1, 3) for x in picked}
+
+    seen = {"solved": 0, "unsolvable": 0, "pruned": 0, "duplicates": 0}
+    for _ in range(300):
+        inside = rng.sample(atoms, rng.randint(1, 4))
+        outside = [x for x in atoms if x not in inside]
+        gamma = [term(random_vec(inside)) for _ in range(rng.randint(1, 4))]
+        if outside:
+            gamma += [term(random_vec(inside + outside)) for _ in range(rng.randint(0, 3))]
+        gamma.sort(key=lambda t: t.key)
+        if rng.random() < 0.3:
+            g = rng.choice(gamma)
+            gamma.insert(gamma.index(g), g)
+            seen["duplicates"] += 1
+        if rng.random() < 0.5:  # a combination of members, often solvable
+            goal = normalize(fold("+", [g for g in gamma for _ in range(rng.randint(0, 2))]
+                                  or gamma[:1]), (AC,))
+        else:
+            goal = term(random_vec(inside))
+        table = Abstraction((AC,))
+        target = table.vector(goal, AC)
+        vecs = [table.vector(g, AC) for g in gamma]
+        seen["pruned"] += sum(not v.keys() <= target.keys() for v in vecs)
+        counts = oracles.reference_solve_nat(vecs, 0, dict(target))
+        want = None
+        if counts is not None and any(counts):
+            want = ElemWitness("ac", "ac", tuple((g, c) for g, c in zip(gamma, counts) if c))
+        got = elementary._decide_ac(AC, gamma, goal, table)
+        assert got == want, (gamma, goal)
+        if got is None:
+            seen["unsolvable"] += 1
+            continue
+        seen["solved"] += 1
+        assert replay(got, gamma, (AC,)) is goal
+        assert replay(got, gamma, (AC,), goal) is goal
+    assert all(n > 20 for n in seen.values()), seen

@@ -1,5 +1,8 @@
 import itertools
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -173,6 +176,82 @@ def test_normalize_agrees_with_rewriting(names):
         for strategy in ("innermost", "outermost"):
             assert rewrite_normalize(t, ths, strategy=strategy) is nf, (t, strategy)
         assert normalize(nf, ths) is nf
+
+
+def test_normal_forms_are_remembered_per_evaluation():
+    # inv is alien to xor, so a + inv(a) is normal there; under ag it is 1.
+    # The term remembers one normal form at a time, tagged with the
+    # evaluation it holds under, so neither answer leaks into the other.
+    t = plus(a, inv(a))
+    assert normalize(t, XOR) is t
+    assert normalize(t, AG) is one
+    assert normalize(t, XOR) is t
+    assert normalize(t, AG) is one
+    # the same term objects, normalized in turn under each combination
+    rng = random.Random(24)
+    mixed = make_theories(("xor", "ag"))
+    terms = COLLAPSING[("xor", "ag")] + [gen_mixed_term(rng, mixed) for _ in range(150)]
+    combos = [make_theories(n) for n in (("xor",), ("ag",), ("ac",), ("xor", "ag"))]
+    want = {(t, ths): rewrite_normalize(t, ths) for t in terms for ths in combos}
+    for _ in range(2):
+        for ths in combos:
+            for t in terms:
+                nf = normalize(t, ths)
+                assert nf is want[t, ths], (t, ths)
+                assert normalize(nf, ths) is nf
+
+
+def test_threads_normalizing_shared_terms_under_different_theories():
+    # each term keeps one remembered normal form, which threads working
+    # under xor and under ag keep replacing; every answer must still be the
+    # one a single thread gets
+    rng = random.Random(25)
+    mixed = make_theories(("xor", "ag"))
+    terms = COLLAPSING[("xor", "ag")] + [gen_mixed_term(rng, mixed) for _ in range(60)]
+    combos = [make_theories(n) for n in (("xor",), ("ag",), ("xor", "ag"))]
+    want = {(t, ths): rewrite_normalize(t, ths) for t in terms for ths in combos}
+    wrong: list = []
+    done = [False] * 4
+    start = threading.Barrier(4)
+
+    def work(k):
+        order = [(t, ths) for t in terms for ths in combos]
+        random.Random(k).shuffle(order)
+        start.wait(timeout=60)
+        for _ in range(20):
+            for t, ths in order:
+                if normalize(t, ths) is not want[t, ths]:
+                    wrong.append((t, ths))
+        done[k] = True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(done), done  # no thread raised
+    assert not wrong, wrong[:3]
+
+
+def test_a_shared_dag_is_normalized_in_linear_time():
+    # 60 levels of pair(t, t) over a + a: 2^60 leaves as a tree, 61 nodes
+    # as a DAG.  Compared by identity and never printed, since printing
+    # expands the tree.
+    u = name("dag_leaf")
+    tower, want = eapp("+", (u, u)), zero
+    for _ in range(60):
+        tower, want = capp("pair", (tower, tower)), capp("pair", (want, want))
+    start = time.perf_counter()
+    same = normalize(tower, XOR) is want
+    took = time.perf_counter() - start
+    assert same, "the tower did not normalize to the tower over 0"
+    assert took < 2.0, f"normalizing the 61-node DAG took {took:.2f} s"
 
 
 def test_normalize_combined_theories():
