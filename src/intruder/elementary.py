@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rewriting import (Abstraction, Theory, _reduced, as_theories, normalize,
+from .rewriting import (Abstraction, Theory, _eval, _evaluation, _reduced, as_theories,
                         theory_vector, vector_term)
 from .terms import Term, term_key
 
@@ -94,6 +94,7 @@ def replay(witness: ElemWitness, gamma: Iterable[Term], theories,
     if not isinstance(gamma, (set, frozenset)):
         gamma = set(gamma)
     theories = as_theories(theories)
+    evaluated = _evaluation(theories)  # read once, not per cited member
     by_name = {th.name: th for th in theories}
     th = by_name.get(witness.theory)
     if th is None:
@@ -101,7 +102,7 @@ def replay(witness: ElemWitness, gamma: Iterable[Term], theories,
     if witness.kind == "empty":
         (elem,) = witness.entries
         _cited(elem, gamma)
-        value = normalize(elem, theories)
+        value = _eval(elem, evaluated) if evaluated else elem
         if goal is not None and value is not goal:
             raise ValueError(f"the witness gives {value}, not the goal")
         return value
@@ -111,7 +112,8 @@ def replay(witness: ElemWitness, gamma: Iterable[Term], theories,
     sums: dict[Term, int] = {}
     for elem, coeff in _holes(witness):
         _cited(elem, gamma)
-        for atom, n in theory_vector(normalize(elem, theories), th).items():
+        value = _eval(elem, evaluated) if evaluated else elem
+        for atom, n in theory_vector(value, th).items():
             sums[atom] = sums.get(atom, 0) + coeff * n
     value = _reduced(sums, th)
     if goal is None:
@@ -320,37 +322,42 @@ def _decide_ac(theory: Theory, gamma: list[Term], goal: Term,
     """
     target = table.vector(goal, theory)
     gamma = [g for g in gamma if table.vector(g, theory).keys() <= target.keys()]
-    counts = _nat_from([table.vector(g, theory) for g in gamma], 0, target)
+    counts = _nat_from([table.vector(g, theory) for g in gamma], target)
     if counts is None or not any(counts):
         return None
     entries = tuple((g, c) for g, c in zip(gamma, counts) if c)
     return ElemWitness(theory.name, "ac", entries)
 
 
-def _nat_from(vecs: list[Mapping[Term, int]], i: int,
-              remaining: Mapping[Term, int]) -> list[int] | None:
-    """Counts for vecs[i:] that sum to ``remaining``, largest first.
-
-    The vectors are those _decide_ac kept, each within the goal's atoms.  A
-    count never exceeds what ``remaining`` holds of each atom of its vector,
-    so no residual goes negative, and ``remaining`` is never written: count
-    0 passes it on as it is.  A module-level function, not a closure: a
-    nested function that calls itself holds its own cell, a cycle that
-    keeps the vectors' terms alive until the cyclic collector runs.
-    """
-    if not remaining:
-        return [0] * (len(vecs) - i)
-    if i == len(vecs):
-        return None
-    v = vecs[i]
-    for c in range(min((remaining.get(a, 0) // n for a, n in v.items()), default=0), 0, -1):
-        rest = dict(remaining)
-        for a, n in v.items():
-            rest[a] -= c * n
-            if not rest[a]:
-                del rest[a]
-        tail = _nat_from(vecs, i + 1, rest)
-        if tail is not None:
-            return [c] + tail
-    tail = _nat_from(vecs, i + 1, remaining)
-    return None if tail is None else [0] + tail
+def _nat_from(vecs: list[Mapping[Term, int]], target: Mapping[Term, int]) -> list[int] | None:
+    """Counts for vecs that sum to ``target``: the first solution of a
+    depth-first search that tries each count largest first, on a stack of
+    its own, so the number of members is not bounded by the recursion limit.
+    The vectors are those _decide_ac kept, each within the goal's atoms, and
+    a count never exceeds what the residual holds of each atom of its
+    vector, so no residual goes negative."""
+    counts: list[int] = []  # the count of each of vecs[:len(counts)]
+    rests = [target]        # rests[i]: what vecs[i:] must sum to
+    while rests[-1]:
+        if len(counts) < len(vecs):
+            v = vecs[len(counts)]
+            c = min((rests[-1].get(a, 0) // n for a, n in v.items()), default=0)
+        else:  # a dead end: lower the deepest count that is not 0
+            while counts and not counts[-1]:
+                counts.pop()
+                rests.pop()
+            if not counts:
+                return None
+            rests.pop()
+            c = counts.pop() - 1
+            v = vecs[len(counts)]
+        counts.append(c)
+        rest = rests[-1]
+        if c:  # count 0 passes the residual on as it is
+            rest = dict(rest)
+            for a, n in v.items():
+                rest[a] -= c * n
+                if not rest[a]:
+                    del rest[a]
+        rests.append(rest)
+    return counts + [0] * (len(vecs) - len(counts))

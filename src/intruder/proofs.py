@@ -13,6 +13,9 @@ Each left rule is defined once, by left_parts: the side term it needs, the
 terms it adds to Gamma and the term Gamma must hold.  The checker, the
 translations and the engine all read the rules from there, and LEFT_RULES
 names each rule in N, S and L.  The translations take checked input.
+
+dumps and from_json make one pass each way; the writer and reader they
+replaced are the test references in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .elementary import ElemWitness, replay
-from .rewriting import Theory, as_theories, normalize
+from .rewriting import Theory, _eval, _evaluation, as_theories, normalize
 from .terms import (CAPP, EAPP, Term, capp, eapp, e_factors, format_term, parse_term, sign,
                     term_key)
 
@@ -108,6 +111,7 @@ _ACTIVE, _DONE = 1, 2
 class _Checker:
     def __init__(self, theories, root: Derivation):
         self.theories = theories
+        self.evaluated = _evaluation(theories)  # once per check, not per term
         self.root = root
 
     def run(self) -> str | None:
@@ -172,8 +176,9 @@ class _Checker:
         self.check_s(d)
 
     def normal(self, terms: Iterable[Term], what: str) -> None:
-        for t in terms:
-            if normalize(t, self.theories) is not t:
+        evaluated = self.evaluated  # empty when no theory evaluates a symbol
+        for t in terms if evaluated else ():
+            if _eval(t, evaluated) is not t:
                 _fail(f"{what} {t} is not in normal form")
 
     def sequent_normal(self, d: Derivation) -> None:
@@ -695,14 +700,23 @@ class _SeqToNd:
         return out
 
 
+# the most leaves seq_to_nd writes for one witness (one per hole it fills)
+MAX_WITNESS_LEAVES = 1_000_000
+
+
 def _witness_tree(w: ElemWitness, g: frozenset[Term], goal: Term, theories,
                   leaf) -> Derivation:
     """An N proof of the witnessed context instance: leaf(e) for each hole
-    filled by e, f_I folds, approx."""
+    filled by e, f_I folds, approx.  Raises OverflowError, before it builds
+    anything, when the witness fills more than MAX_WITNESS_LEAVES holes."""
     by_name = {th.name: th for th in theories}
     th = by_name[w.theory]
     if w.kind == "empty":
         return leaf(goal)
+    holes = len(w.entries) if w.kind == "xor" else sum(abs(c) for _, c in w.entries)
+    if holes > MAX_WITNESS_LEAVES:
+        raise OverflowError(f"a witness fills {holes:,} holes, more than the "
+                            f"MAX_WITNESS_LEAVES bound of {MAX_WITNESS_LEAVES:,}")
     leaves: list[Derivation] = []
     if w.kind == "xor":
         leaves = [leaf(e) for e in w.entries]
@@ -732,15 +746,7 @@ FORMAT_VERSION = 2
 
 def to_json(d: Derivation) -> dict:
     """The proof as a JSON-ready object in the flat layout (see README)."""
-    w = _Writer()
-    root = w.walk(d)
-    return {"system": d.system, "version": FORMAT_VERSION, "terms": w.terms,
-            "contexts": w.contexts, "nodes": w.nodes, "root": root}
-
-
-def from_json(obj) -> Derivation:
-    """Read a proof object; raises ValueError if it is malformed."""
-    return _Reader().proof(obj)
+    return json.loads(dumps(d))
 
 
 _encode = json.JSONEncoder().encode
@@ -749,28 +755,80 @@ _string = json.encoder.encode_basestring_ascii  # what _encode writes for a str
 
 def dumps(d: Derivation) -> str:
     """The proof as JSON: each top-level field, and each entry of the term,
-    context and node tables, on a line of its own."""
-    fields = []
-    for key, v in to_json(d).items():
-        entry = _TABLE_ENTRY.get(key)
-        if entry is not None and v:
-            v = "[\n    " + ",\n    ".join(map(entry, v)) + "\n  ]"
+    context and node tables, on a line of its own, as a JSON encoder writes
+    it.  One walk, premises first, assigns the indices and writes each entry
+    once it is known.  Nodes are keyed by identity, so a subtree shared in
+    memory is written once; a context is written as the context of the node
+    it was first reached from plus the terms it adds."""
+    terms: list[str] = []
+    contexts: list[str] = []
+    nodes: list[str] = []
+    term_index: dict[Term, int] = {}
+    context_index: dict[frozenset[Term], int] = {}
+    index: dict[int, int] = {}  # node identity -> its entry, -1 while its premises are written
+
+    def term(t: Term) -> int:
+        if (i := term_index.get(t)) is None:
+            i = term_index[t] = len(terms)
+            terms.append(_string(format_term(t)))
+        return i
+
+    def witness(w: ElemWitness) -> str:
+        if w.kind in ("empty", "xor"):
+            entries = ", ".join([str(term(e)) for e in w.entries])
         else:
-            v = _encode(v)
-        fields.append(f'  "{key}": {v}')
-    return "{\n" + ",\n".join(fields) + "\n}"
+            entries = ", ".join([f"[{term(e)}, {c}]" for e, c in w.entries])
+        return (f'{{"theory": {_string(w.theory)}, "kind": {_string(w.kind)}, '
+                f'"entries": [{entries}]}}')
+
+    # (node, Gamma of the node it was reached from, premises written)
+    stack: list[tuple] = [(d, None, False)]
+    while stack:
+        node, above, expanded = stack.pop()
+        key = id(node)
+        if not expanded:
+            seen = index.get(key)
+            if seen is not None:
+                if seen < 0:
+                    raise ValueError("a derivation that is its own premise cannot be written")
+                continue
+            index[key] = -1
+            g = node.conclusion.gamma
+            if g not in context_index:
+                if above is not None and above <= g:
+                    parent, added = context_index[above], g - above
+                else:
+                    parent, added = "null", g
+                context_index[g] = len(contexts)
+                adds = ", ".join([str(term(t)) for t in sorted(added, key=term_key)])
+                contexts.append(f'{{"parent": {parent}, "add": [{adds}]}}')
+            below = [*node.premises, *(v for v in node.aux.values() if isinstance(v, Derivation))]
+            stack.append((node, None, True))
+            stack.extend([(c, g, False) for c in reversed(below)])
+            continue
+        aux = []
+        for k, v in node.aux.items():
+            if isinstance(v, Term):
+                v = term(v)
+            elif isinstance(v, ElemWitness):
+                v = witness(v)
+            elif isinstance(v, Derivation):
+                v = index[id(v)]
+            else:
+                v = _encode(v)
+            aux.append(f"{_string(k)}: {v}")
+        index[key] = len(nodes)
+        nodes.append(f'{{"system": {_string(node.system)}, "rule": {_string(node.rule)}, '
+                     f'"context": {context_index[node.conclusion.gamma]}, '
+                     f'"goal": {term(node.conclusion.goal)}, "aux": {{{", ".join(aux)}}}, '
+                     f'"premises": [{", ".join([str(index[id(p)]) for p in node.premises])}]}}')
+    return (f'{{\n  "system": {_string(d.system)},\n  "version": {FORMAT_VERSION},\n'
+            f'  "terms": {_table(terms)},\n  "contexts": {_table(contexts)},\n'
+            f'  "nodes": {_table(nodes)},\n  "root": {index[id(d)]}\n}}')
 
 
-# Context entries have a fixed shape, so they are written directly: building
-# an encoder per entry with _encode costs more than the writing.  The text is
-# what _encode writes.
-
-def _context_entry(c: dict) -> str:
-    parent = "null" if c["parent"] is None else c["parent"]
-    return f'{{"parent": {parent}, "add": [{", ".join(map(str, c["add"]))}]}}'
-
-
-_TABLE_ENTRY = {"terms": _string, "contexts": _context_entry, "nodes": _encode}
+def _table(entries: list[str]) -> str:
+    return "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
 
 
 def loads(text: str) -> Derivation:
@@ -785,180 +843,115 @@ def loads(text: str) -> Derivation:
     return from_json(obj)
 
 
-def _children(d: Derivation) -> list[Derivation]:
-    return [*d.premises, *(v for v in d.aux.values() if isinstance(v, Derivation))]
-
-
-class _Writer:
-    """Writes the tables of one proof.  Nodes are keyed by identity, so a
-    subtree shared in memory is written once; a context is written as the
-    context of the node it was first reached from plus the terms it adds."""
-
-    def __init__(self):
-        self.terms: list[str] = []
-        self.contexts: list[dict] = []
-        self.nodes: list[dict] = []
-        self.term_index: dict[Term, int] = {}
-        self.context_index: dict[frozenset[Term], int] = {}
-
-    def term(self, t: Term) -> int:
-        i = self.term_index.get(t)
-        if i is None:
-            i = self.term_index[t] = len(self.terms)
-            self.terms.append(format_term(t))
-        return i
-
-    def context(self, g: frozenset[Term], above: frozenset[Term] | None) -> None:
-        if g in self.context_index:
-            return
-        if above is not None and above <= g:
-            parent, added = self.context_index[above], g - above
-        else:
-            parent, added = None, g
-        self.context_index[g] = len(self.contexts)
-        self.contexts.append({"parent": parent,
-                              "add": [self.term(t) for t in sorted(added, key=term_key)]})
-
-    def walk(self, root: Derivation) -> int:
-        """Write every node below root, premises first; root's index."""
-        index: dict[int, int] = {}
-        active: set[int] = set()
-        # (node, Gamma of the node it was reached from, premises written)
-        stack: list[tuple] = [(root, None, False)]
-        while stack:
-            node, above, expanded = stack.pop()
-            key = id(node)
-            if expanded:
-                active.discard(key)
-                index[key] = len(self.nodes)
-                self.nodes.append(self.node(node, index))
-                continue
-            if key in index:
-                continue
-            if key in active:
-                raise ValueError("a derivation that is its own premise cannot be written")
-            active.add(key)
-            g = node.conclusion.gamma
-            self.context(g, above)
-            stack.append((node, None, True))
-            stack.extend((c, g, False) for c in reversed(_children(node)))
-        return index[id(root)]
-
-    def node(self, d: Derivation, index: dict[int, int]) -> dict:
-        aux: dict = {}
-        for k, v in d.aux.items():
-            if isinstance(v, Term):
-                aux[k] = self.term(v)
-            elif isinstance(v, ElemWitness):
-                aux[k] = self.witness(v)
-            elif isinstance(v, Derivation):
-                aux[k] = index[id(v)]
-            else:
-                aux[k] = v
-        return {
-            "system": d.system,
-            "rule": d.rule,
-            "context": self.context_index[d.conclusion.gamma],
-            "goal": self.term(d.conclusion.goal),
-            "aux": aux,
-            "premises": [index[id(p)] for p in d.premises],
-        }
-
-    def witness(self, w: ElemWitness) -> dict:
-        if w.kind in ("empty", "xor"):
-            entries = [self.term(e) for e in w.entries]
-        else:
-            entries = [[self.term(e), c] for e, c in w.entries]
-        return {"theory": w.theory, "kind": w.kind, "entries": entries}
-
-
-class _Reader:
-    """Reads one proof object, checking the JSON type of every field it
-    interprets and that every index is a non-negative integer naming an
-    earlier entry of its table (any entry of the term table).  Each distinct
-    term string is parsed once, and each context built once, so nodes with
-    the same context share one frozenset."""
-
-    def __init__(self):
-        self.parsed: dict[str, Term] = {}
-        self.terms: list[Term] = []
-        self.nodes: list[Derivation] = []
-
-    def proof(self, obj) -> Derivation:
-        if not isinstance(obj, dict):
-            raise _malformed(f"a proof must be an object, found {type(obj).__name__}")
-        version = obj.get("version")
-        if type(version) is not int or version != FORMAT_VERSION:
-            found = "no version" if "version" not in obj else f"version {version!r}"
-            raise _malformed(f"expected version {FORMAT_VERSION}, found {found}")
-        system = _field(obj, "system", str)
-        self.terms = [self.term(i, s) for i, s in enumerate(_field(obj, "terms", list))]
-        contexts: list[frozenset[Term]] = []
-        for c in _field(obj, "contexts", list):
-            if not isinstance(c, dict):
-                raise _malformed(f"a context must be an object, found {type(c).__name__}")
-            parent = _required(c, "parent")
-            base = (frozenset() if parent is None
-                    else contexts[_index(parent, len(contexts), "a context parent")])
-            added = [self.term_at(j) for j in _field(c, "add", list)]
-            contexts.append(base.union(added) if added else base)
-        for obj_node in _field(obj, "nodes", list):
-            self.nodes.append(self.node(obj_node, contexts))
-        root = self.nodes[_index(_required(obj, "root"), len(self.nodes), "root")]
-        if root.system != system:
-            raise _malformed(f"the proof says system {system!r}, its root is {root.system!r}")
-        return root
-
-    def term(self, i: int, s) -> Term:
+def from_json(obj) -> Derivation:
+    """Read a proof object; raises ValueError if it is malformed: a field
+    it interprets without its JSON type, or an index that is not a
+    non-negative integer naming an earlier entry of its table (any entry of
+    the term table).  A field that fails its one inline test is handed to
+    _field, _required or _index for the message.  Each distinct term string
+    is parsed once, and each context built once, so nodes with the same
+    context share one frozenset."""
+    if not isinstance(obj, dict):
+        raise _malformed(f"a proof must be an object, found {type(obj).__name__}")
+    if type(version := obj.get("version")) is not int or version != FORMAT_VERSION:
+        found = "no version" if "version" not in obj else f"version {version!r}"
+        raise _malformed(f"expected version {FORMAT_VERSION}, found {found}")
+    system = _field(obj, "system", str)
+    parsed: dict[str, Term] = {}
+    terms: list[Term] = []
+    for i, s in enumerate(_field(obj, "terms", list)):
         if not isinstance(s, str):
             raise _malformed(f"term {i} must be a string, found {type(s).__name__}")
-        t = self.parsed.get(s)
-        if t is None:
+        if (t := parsed.get(s)) is None:
             try:
-                t = self.parsed[s] = parse_term(s)
+                t = parsed[s] = parse_term(s)
             except ValueError as e:
                 raise _malformed(f"term {i} does not parse: {e}") from None
-        return t
-
-    def term_at(self, i) -> Term:
-        return self.terms[_index(i, len(self.terms), "a term index")]
-
-    def node(self, obj, contexts: list[frozenset[Term]]) -> Derivation:
-        if not isinstance(obj, dict):
-            raise _malformed(f"a node must be an object, found {type(obj).__name__}")
-        earlier = len(self.nodes)
-        system = _field(obj, "system", str)
-        rule = _field(obj, "rule", str)
-        gamma = contexts[_index(_required(obj, "context"), len(contexts), "a node context")]
-        goal = self.term_at(_required(obj, "goal"))
-        premises = tuple([self.nodes[_index(p, earlier, "a premise")]
-                          for p in _field(obj, "premises", list)])
+        terms.append(t)
+    n_terms = len(terms)
+    contexts: list[frozenset[Term]] = []
+    for c in _field(obj, "contexts", list):
+        if not isinstance(c, dict):
+            raise _malformed(f"a context must be an object, found {type(c).__name__}")
+        if (parent := c.get("parent")) is None and "parent" not in c:
+            _required(c, "parent")
+        elif parent is not None and (type(parent) is not int or not 0 <= parent < len(contexts)):
+            _index(parent, len(contexts), "a context parent")
+        base = frozenset() if parent is None else contexts[parent]
+        if type(add := c.get("add")) is not list:
+            add = _field(c, "add", list)
+        for j in add:
+            if type(j) is not int or not 0 <= j < n_terms:
+                _index(j, n_terms, "a term index")
+        contexts.append(base.union([terms[j] for j in add]) if add else base)
+    n_contexts = len(contexts)
+    nodes: list[Derivation] = []
+    for n in _field(obj, "nodes", list):
+        if not isinstance(n, dict):
+            raise _malformed(f"a node must be an object, found {type(n).__name__}")
+        earlier = len(nodes)
+        if type(n_system := n.get("system")) is not str:
+            n_system = _field(n, "system", str)
+        if type(rule := n.get("rule")) is not str:
+            rule = _field(n, "rule", str)
+        if type(ci := n.get("context")) is not int or not 0 <= ci < n_contexts:
+            _index(_required(n, "context"), n_contexts, "a node context")
+        if type(gi := n.get("goal")) is not int or not 0 <= gi < n_terms:
+            _index(_required(n, "goal"), n_terms, "a term index")
+        if type(premises := n.get("premises")) is not list:
+            premises = _field(n, "premises", list)
+        for p in premises:
+            if type(p) is not int or not 0 <= p < earlier:
+                _index(p, earlier, "a premise")
+        if type(raw_aux := n.get("aux")) is not dict:
+            raw_aux = _field(n, "aux", dict)
         aux: dict = {}
-        for k, v in _field(obj, "aux", dict).items():
-            if k in ("principal", "abstracted"):  # "abstracted": an older acut's key
-                aux["principal"] = self.term_at(v)
+        for k, v in raw_aux.items():
+            if k == "principal" or k == "abstracted":  # "abstracted": an older acut's key
+                if type(v) is not int or not 0 <= v < n_terms:
+                    _index(v, n_terms, "a term index")
+                aux["principal"] = terms[v]
             elif k == "witness":
-                aux[k] = self.witness(v)
+                aux[k] = _witness(v, terms)
             elif k == "right":
-                aux[k] = self.nodes[_index(v, earlier, "aux.right")]
+                if type(v) is not int or not 0 <= v < earlier:
+                    _index(v, earlier, "aux.right")
+                aux[k] = nodes[v]
             else:
                 aux[k] = v
-        return Derivation(system, rule, Sequent(gamma, goal), premises, aux)
+        nodes.append(Derivation(n_system, rule, Sequent(contexts[ci], terms[gi]),
+                                tuple([nodes[p] for p in premises]), aux))
+    if type(root := obj.get("root")) is not int or not 0 <= root < len(nodes):
+        _index(_required(obj, "root"), len(nodes), "root")
+    if nodes[root].system != system:
+        raise _malformed(f"the proof says system {system!r}, its root is {nodes[root].system!r}")
+    return nodes[root]
 
-    def witness(self, obj) -> ElemWitness:
-        if not isinstance(obj, dict):
-            raise _malformed(f"a witness must be an object, found {type(obj).__name__}")
+
+def _witness(obj, terms: list[Term]) -> ElemWitness:
+    if not isinstance(obj, dict):
+        raise _malformed(f"a witness must be an object, found {type(obj).__name__}")
+    if type(kind := obj.get("kind")) is not str:
         kind = _field(obj, "kind", str)
+    if type(theory := obj.get("theory")) is not str:
         theory = _field(obj, "theory", str)
+    if type(raw := obj.get("entries")) is not list:
         raw = _field(obj, "entries", list)
-        if kind in ("empty", "xor"):
-            return ElemWitness(theory, kind, tuple([self.term_at(e) for e in raw]))
-        entries = []
+    n_terms = len(terms)
+    if kind in ("empty", "xor"):
         for e in raw:
-            if not (isinstance(e, list) and len(e) == 2 and type(e[1]) is int):
-                raise _malformed(f"a {kind} witness entry must be [term, count], found {e!r}")
-            entries.append((self.term_at(e[0]), e[1]))
-        return ElemWitness(theory, kind, tuple(entries))
+            if type(e) is not int or not 0 <= e < n_terms:
+                _index(e, n_terms, "a term index")
+        return ElemWitness(theory, kind, tuple([terms[e] for e in raw]))
+    entries = []
+    for e in raw:
+        if not (isinstance(e, list) and len(e) == 2 and type(e[1]) is int):
+            raise _malformed(f"a {kind} witness entry must be [term, count], found {e!r}")
+        i = e[0]
+        if type(i) is not int or not 0 <= i < n_terms:
+            _index(i, n_terms, "a term index")
+        entries.append((terms[i], e[1]))
+    return ElemWitness(theory, kind, tuple(entries))
 
 
 _JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}

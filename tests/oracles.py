@@ -52,6 +52,13 @@ comma-separated list the way terms.parse_term_list's one scan replaced: cut
 at the commas outside parentheses (terms._split_top, which parse_term_list
 also reads for text that fails), each part parsed on its own.
 
+reference_to_json, reference_dumps and reference_from_json are the proof
+serialization that proofs.dumps and from_json replaced: a writer that builds
+a dict per node and a dict per context, written entry by entry with
+json.dumps, and a reader that checks each field through proofs._field,
+_required and _index.  They read and write the same bytes and raise the
+same messages.
+
 rewrite_normalize is the rule-based rewriter that rewriting.normalize's
 vector evaluation replaced: the AC-convergent xor and ag rule sets
 (theory_rules, read off a theory's backend and AC symbol) plus their AC
@@ -63,6 +70,7 @@ Abstraction table, for the simulation property of variable abstraction.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -79,8 +87,8 @@ from intruder.rewriting import (Abstraction, Theory, as_theories, match_mod_ac,
                                 normalize, theory_vector, vector_term)
 from intruder import proofs, terms
 from intruder.terms import (AC_SYMBOLS, CAPP, CONSTRUCTOR_ARITY, EAPP, MAX_DEPTH, NAME,
-                            VAR, Term, capp, e_factors, eapp, sign, substitute,
-                            subterms, var)
+                            VAR, Term, capp, e_factors, eapp, format_term, sign,
+                            substitute, subterms, term_key, var)
 
 
 def rescan_deduce(gamma: Iterable[Term], goal: Term, theories,
@@ -1156,3 +1164,211 @@ def reference_parse_term(text: str) -> Term:
 def reference_parse_term_list(text: str) -> list[Term]:
     """terms.parse_term_list part by part: the same terms or the same error."""
     return [reference_parse_term(part) for part in terms._split_top(text) if part.strip()]
+
+
+# --- reference proof serialization -------------------------------------------------
+
+
+def reference_to_json(d: Derivation) -> dict:
+    """proofs.to_json by building the tables as dicts."""
+    w = _Writer()
+    root = w.walk(d)
+    return {"system": d.system, "version": proofs.FORMAT_VERSION, "terms": w.terms,
+            "contexts": w.contexts, "nodes": w.nodes, "root": root}
+
+
+def reference_dumps(d: Derivation) -> str:
+    """proofs.dumps by json.dumps, one call per table entry."""
+    fields = []
+    for key, v in reference_to_json(d).items():
+        if isinstance(v, list) and v:
+            v = "[\n    " + ",\n    ".join(map(json.dumps, v)) + "\n  ]"
+        else:
+            v = json.dumps(v)
+        fields.append(f'  "{key}": {v}')
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
+def reference_from_json(obj) -> Derivation:
+    """proofs.from_json by one checking call per field."""
+    return _Reader().proof(obj)
+
+
+def _children(d: Derivation) -> list[Derivation]:
+    return [*d.premises, *(v for v in d.aux.values() if isinstance(v, Derivation))]
+
+
+class _Writer:
+    """Writes the tables of one proof.  Nodes are keyed by identity, so a
+    subtree shared in memory is written once; a context is written as the
+    context of the node it was first reached from plus the terms it adds."""
+
+    def __init__(self):
+        self.terms: list[str] = []
+        self.contexts: list[dict] = []
+        self.nodes: list[dict] = []
+        self.term_index: dict[Term, int] = {}
+        self.context_index: dict[frozenset[Term], int] = {}
+
+    def term(self, t: Term) -> int:
+        i = self.term_index.get(t)
+        if i is None:
+            i = self.term_index[t] = len(self.terms)
+            self.terms.append(format_term(t))
+        return i
+
+    def context(self, g: frozenset[Term], above: frozenset[Term] | None) -> None:
+        if g in self.context_index:
+            return
+        if above is not None and above <= g:
+            parent, added = self.context_index[above], g - above
+        else:
+            parent, added = None, g
+        self.context_index[g] = len(self.contexts)
+        self.contexts.append({"parent": parent,
+                              "add": [self.term(t) for t in sorted(added, key=term_key)]})
+
+    def walk(self, root: Derivation) -> int:
+        """Write every node below root, premises first; root's index."""
+        index: dict[int, int] = {}
+        active: set[int] = set()
+        # (node, Gamma of the node it was reached from, premises written)
+        stack: list[tuple] = [(root, None, False)]
+        while stack:
+            node, above, expanded = stack.pop()
+            key = id(node)
+            if expanded:
+                active.discard(key)
+                index[key] = len(self.nodes)
+                self.nodes.append(self.node(node, index))
+                continue
+            if key in index:
+                continue
+            if key in active:
+                raise ValueError("a derivation that is its own premise cannot be written")
+            active.add(key)
+            g = node.conclusion.gamma
+            self.context(g, above)
+            stack.append((node, None, True))
+            stack.extend((c, g, False) for c in reversed(_children(node)))
+        return index[id(root)]
+
+    def node(self, d: Derivation, index: dict[int, int]) -> dict:
+        aux: dict = {}
+        for k, v in d.aux.items():
+            if isinstance(v, Term):
+                aux[k] = self.term(v)
+            elif isinstance(v, ElemWitness):
+                aux[k] = self.witness(v)
+            elif isinstance(v, Derivation):
+                aux[k] = index[id(v)]
+            else:
+                aux[k] = v
+        return {
+            "system": d.system,
+            "rule": d.rule,
+            "context": self.context_index[d.conclusion.gamma],
+            "goal": self.term(d.conclusion.goal),
+            "aux": aux,
+            "premises": [index[id(p)] for p in d.premises],
+        }
+
+    def witness(self, w: ElemWitness) -> dict:
+        if w.kind in ("empty", "xor"):
+            entries = [self.term(e) for e in w.entries]
+        else:
+            entries = [[self.term(e), c] for e, c in w.entries]
+        return {"theory": w.theory, "kind": w.kind, "entries": entries}
+
+
+_field, _index, _malformed, _required = (proofs._field, proofs._index, proofs._malformed,
+                                         proofs._required)
+
+
+class _Reader:
+    """Reads one proof object, checking the JSON type of every field it
+    interprets and that every index is a non-negative integer naming an
+    earlier entry of its table (any entry of the term table).  Each distinct
+    term string is parsed once, and each context built once, so nodes with
+    the same context share one frozenset."""
+
+    def __init__(self):
+        self.parsed: dict[str, Term] = {}
+        self.terms: list[Term] = []
+        self.nodes: list[Derivation] = []
+
+    def proof(self, obj) -> Derivation:
+        if not isinstance(obj, dict):
+            raise _malformed(f"a proof must be an object, found {type(obj).__name__}")
+        version = obj.get("version")
+        if type(version) is not int or version != proofs.FORMAT_VERSION:
+            found = "no version" if "version" not in obj else f"version {version!r}"
+            raise _malformed(f"expected version {proofs.FORMAT_VERSION}, found {found}")
+        system = _field(obj, "system", str)
+        self.terms = [self.term(i, s) for i, s in enumerate(_field(obj, "terms", list))]
+        contexts: list[frozenset[Term]] = []
+        for c in _field(obj, "contexts", list):
+            if not isinstance(c, dict):
+                raise _malformed(f"a context must be an object, found {type(c).__name__}")
+            parent = _required(c, "parent")
+            base = (frozenset() if parent is None
+                    else contexts[_index(parent, len(contexts), "a context parent")])
+            added = [self.term_at(j) for j in _field(c, "add", list)]
+            contexts.append(base.union(added) if added else base)
+        for obj_node in _field(obj, "nodes", list):
+            self.nodes.append(self.node(obj_node, contexts))
+        root = self.nodes[_index(_required(obj, "root"), len(self.nodes), "root")]
+        if root.system != system:
+            raise _malformed(f"the proof says system {system!r}, its root is {root.system!r}")
+        return root
+
+    def term(self, i: int, s) -> Term:
+        if not isinstance(s, str):
+            raise _malformed(f"term {i} must be a string, found {type(s).__name__}")
+        t = self.parsed.get(s)
+        if t is None:
+            try:
+                t = self.parsed[s] = terms.parse_term(s)
+            except ValueError as e:
+                raise _malformed(f"term {i} does not parse: {e}") from None
+        return t
+
+    def term_at(self, i) -> Term:
+        return self.terms[_index(i, len(self.terms), "a term index")]
+
+    def node(self, obj, contexts: list[frozenset[Term]]) -> Derivation:
+        if not isinstance(obj, dict):
+            raise _malformed(f"a node must be an object, found {type(obj).__name__}")
+        earlier = len(self.nodes)
+        system = _field(obj, "system", str)
+        rule = _field(obj, "rule", str)
+        gamma = contexts[_index(_required(obj, "context"), len(contexts), "a node context")]
+        goal = self.term_at(_required(obj, "goal"))
+        premises = tuple([self.nodes[_index(p, earlier, "a premise")]
+                          for p in _field(obj, "premises", list)])
+        aux: dict = {}
+        for k, v in _field(obj, "aux", dict).items():
+            if k in ("principal", "abstracted"):  # "abstracted": an older acut's key
+                aux["principal"] = self.term_at(v)
+            elif k == "witness":
+                aux[k] = self.witness(v)
+            elif k == "right":
+                aux[k] = self.nodes[_index(v, earlier, "aux.right")]
+            else:
+                aux[k] = v
+        return Derivation(system, rule, Sequent(gamma, goal), premises, aux)
+
+    def witness(self, obj) -> ElemWitness:
+        if not isinstance(obj, dict):
+            raise _malformed(f"a witness must be an object, found {type(obj).__name__}")
+        kind = _field(obj, "kind", str)
+        theory = _field(obj, "theory", str)
+        raw = _field(obj, "entries", list)
+        if kind in ("empty", "xor"):
+            return ElemWitness(theory, kind, tuple([self.term_at(e) for e in raw]))
+        entries = []
+        for e in raw:
+            if not (isinstance(e, list) and len(e) == 2 and type(e[1]) is int):
+                raise _malformed(f"a {kind} witness entry must be [term, count], found {e!r}")
+            entries.append((self.term_at(e[0]), e[1]))
+        return ElemWitness(theory, kind, tuple(entries))

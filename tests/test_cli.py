@@ -10,6 +10,7 @@ import time
 import pytest
 
 from conftest import gen_ground, gen_instance, gen_wf_system
+from oracles import reference_from_json
 from test_proofs import _doubling_nd_proof
 from intruder import cli, constraints, engine, proofs
 from intruder.elementary import ElemWitness
@@ -433,17 +434,18 @@ def test_malformed_proof_shapes_are_input_errors(tmp_path, theory, path, value):
         assert "Traceback" not in out.stderr
 
 
+def _cap_address_space():
+    """Cap the calling process's address space at 1 GiB (a preexec_fn)."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def _capped_cli(*argv, stdin=None, timeout=30):
     """Run the CLI with its address space capped at 1 GiB, so a witness that
     is spelled out hole by hole fails at once instead of filling memory."""
-    import resource
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     return subprocess.run([sys.executable, "-m", "intruder.cli", *argv], input=stdin,
                           env=_src_env(), capture_output=True, text=True,
-                          timeout=timeout, preexec_fn=cap)
+                          timeout=timeout, preexec_fn=_cap_address_space)
 
 
 # a dependent group context whose witnesses have coefficients in the millions
@@ -466,6 +468,43 @@ def test_deduce_on_a_dependent_ag_context_is_fast(tmp_path):
     assert elapsed < 2.0, elapsed
     checked = _capped_cli("check", "--proof", "-", "--theory", "ag", stdin=proof.stdout)
     assert checked.returncode == 0, checked.stderr
+
+
+def test_seq2nd_past_the_witness_leaf_bound_exits_3_in_bounded_memory(tmp_path):
+    # the proof's witnesses cite members about 5·10^9 times in all: one N
+    # leaf per hole would not fit in memory
+    problem = write(tmp_path, AG_DEPENDENT_PROBLEM)
+    proof = _capped_cli("deduce", "--input", problem, "--emit-proof", "json")
+    assert proof.returncode == 0, proof.stderr
+    path = write(tmp_path, proof.stdout, "proof.json")
+    # a small child runs the CLI and reports the CLI's peak memory: a process
+    # forked from this one would start with this one's resident set
+    child = ("import json, resource, subprocess, sys\n"
+             "cli = subprocess.run([sys.executable, '-m', 'intruder.cli', *sys.argv[1:]],\n"
+             "                     capture_output=True, text=True)\n"
+             "rss_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+             "print(json.dumps([cli.returncode, cli.stdout, cli.stderr, rss_kb]))\n")
+    ran = subprocess.run([sys.executable, "-c", child, "translate", "--proof", path,
+                          "--direction", "seq2nd", "--theory", "ag"],
+                         env=_src_env(), capture_output=True, text=True, timeout=60,
+                         preexec_fn=_cap_address_space)
+    assert ran.returncode == 0, ran.stderr
+    rc, out, err, rss_kb = json.loads(ran.stdout)
+    assert rc == 3 and out == "", (rc, err)
+    assert f"MAX_WITNESS_LEAVES bound of {proofs.MAX_WITNESS_LEAVES:,}" in err, err
+    assert rss_kb < 100 * 1024, rss_kb
+
+
+def test_ac_goal_summing_two_thousand_known_atoms(tmp_path):
+    # the AC search keeps one level per member: a search that recursed per
+    # member overflowed the stack at about 1,000
+    n = 2000
+    atoms = [f"x{i}" for i in range(1, n + 1)]
+    problem = write(tmp_path, f"theory: ac\nknows: {', '.join(atoms)}\ngoal: {'+'.join(atoms)}\n")
+    out = subprocess.run([sys.executable, "-m", "intruder.cli", "deduce", "--input", problem],
+                         env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "derivable\n"
 
 
 def _ag_id_proof(entries):
@@ -726,6 +765,13 @@ def test_malformed_flat_proofs_exit_2(tmp_path, capsys, case):
         d = engine.deduce([parse_term("enc(a, k)"), parse_term("k")], parse_term("a"), ths)
         blob = json.loads(dumps(d))
         MALFORMED_V2[case](blob)
+    # the reader raises what the reference reader it replaced raises
+    messages = []
+    for reader in (proofs.from_json, reference_from_json):
+        with pytest.raises(ValueError) as e:
+            reader(blob)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1]
     path = write(tmp_path, json.dumps(blob), "bad.json")
     for command in (["check"], ["translate", "--direction", "seq2nd"],
                     ["translate", "--direction", "nd2seq"]):

@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from conftest import gen_instance, holes
-from oracles import (height, left_rule_count, reference_nd_to_seq, reference_seq_to_nd,
-                     sequents_of, weaken)
+from oracles import (height, left_rule_count, reference_dumps, reference_from_json,
+                     reference_nd_to_seq, reference_seq_to_nd, reference_to_json, sequents_of,
+                     weaken)
 from intruder import proofs
 from intruder.cli import read_problem
 from intruder.elementary import ElemWitness
@@ -536,10 +537,10 @@ def _proof_forms(theory_name, seed):
 @pytest.mark.parametrize("theory_name,seed",
                          [("empty", 61), ("xor", 62), ("ag", 63), ("ac", 64)])
 def test_dumps_writes_what_json_dumps_writes(theory_name, seed):
-    # the text holds the object to_json gives, one table entry per line
+    # the text holds the object the reference writer gives, one table entry per line
     for d in _proof_forms(theory_name, seed):
         text = dumps(d)
-        obj = to_json(d)
+        obj = reference_to_json(d)
         assert json.loads(text) == obj
         lines = text.splitlines()
         assert lines[1] == f'  "system": "{d.system}",'
@@ -557,24 +558,12 @@ def test_dumps_writes_unknown_aux_values_as_json_does():
     d = Derivation("S", "id", Sequent(frozenset({a, b}), a), (),
                    {"witness": ElemWitness("empty", "empty", (a,)), "theory": "empty", **extra})
     text = dumps(d)
-    assert json.loads(text) == to_json(d)
+    assert json.loads(text) == reference_to_json(d)
     assert json.loads(text)["nodes"][0]["aux"]["nested"] == extra["nested"]
     back = loads(text)
     assert back.aux["witness"] == d.aux["witness"]
     assert {key: back.aux[key] for key in extra} == extra
     assert dumps(back) == text
-
-
-def _dumps_by_json(d):
-    """dumps written with json.dumps, one call per table entry."""
-    fields = []
-    for key, v in to_json(d).items():
-        if isinstance(v, list) and v:
-            v = "[\n    " + ",\n    ".join(map(json.dumps, v)) + "\n  ]"
-        else:
-            v = json.dumps(v)
-        fields.append(f'  "{key}": {v}')
-    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def test_dumps_is_byte_identical_to_a_json_reference():
@@ -590,9 +579,83 @@ def test_dumps_is_byte_identical_to_a_json_reference():
                      {"witness": ElemWitness("empty", "empty", (a,)), "theory": "empty",
                       "note": 'caf\u00e9 "q" \\ \n', "weight": 0.5, "flags": [True, None],
                       "nested": {"k": [1, "x", {}], "": -2}})
-    for d in (_doubling_nd_proof(12), blind_l, linear_to_seq(blind_l), ag_l, odd):
-        assert dumps(d) == _dumps_by_json(d)
+    older = [loads(OLDER_V2_ACUT_PROOF), loads(OLDER_V2_XOR_AG_PROOF)]
+    # a node whose aux term and goal are both outside Gamma: the aux term is
+    # numbered first
+    loose = Derivation("L", "lp", Sequent(frozenset({a}), c), (), {"principal": pair(a, b)})
+    for d in (_doubling_nd_proof(12), blind_l, linear_to_seq(blind_l), ag_l, odd, *older, loose):
+        assert dumps(d) == reference_dumps(d)
     assert '"entries": [[' in dumps(ag_l) and "-2]" in dumps(ag_l)
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+def test_dumps_and_from_json_match_the_references_on_the_pipeline_templates(seed):
+    # L, its S reading, N, and N back in S: the texts the benchmark's proof
+    # pipeline reads and writes
+    for t in _workloads().proof_sources(seed):
+        names, knows, goal = read_problem(t.text)
+        ths = make_theories(tuple(names))
+        lin = deduce(knows, goal, ths)
+        seq = linear_to_seq(lin)
+        nd = seq_to_nd(seq, ths)
+        for d in (lin, seq, nd, nd_to_seq(nd, ths)):
+            text = dumps(d)
+            assert text == reference_dumps(d), (t.label, d.system)
+            obj = json.loads(text)
+            assert dumps(from_json(obj)) == text
+            assert dumps(reference_from_json(obj)) == text
+
+
+def _paths(v, at=()):
+    """The path of every value inside a JSON object, containers included."""
+    if isinstance(v, dict):
+        for key, x in v.items():
+            yield at + (key,)
+            yield from _paths(x, at + (key,))
+    elif isinstance(v, list):
+        for i, x in enumerate(v):
+            yield at + (i,)
+            yield from _paths(x, at + (i,))
+
+
+def _read_outcome(reader, obj):
+    try:
+        return "read", dumps(reader(obj))
+    except Exception as e:  # the message and its type must agree
+        return type(e).__name__, str(e)
+
+
+BAD_JSON_VALUES = (None, True, False, 1.0, 10**6, "x", "pair(a", [], [0], [[0, 1]], {}, {"k": 0})
+_DELETE = object()
+
+
+def test_from_json_reads_and_rejects_what_the_reference_reader_does():
+    # every value of three proofs deleted, or replaced by a value of another
+    # JSON type, or by every integer from -1 to one past the longest table:
+    # the same proof read, or the same message
+    ths = make_theories(("xor",))
+    nd = seq_to_nd(linear_to_seq(deduce({plus(a, b), b, c, enc(k, pair(a, c))},
+                                        pair(k, b), ths)), ths)
+    blobs = [json.loads(OLDER_V2_ACUT_PROOF), json.loads(OLDER_V2_XOR_AG_PROOF),
+             json.loads(dumps(nd))]
+    cases = 0
+    for blob in blobs:
+        assert _read_outcome(from_json, blob)[0] == "read"
+        longest = max(len(blob[table]) for table in ("terms", "contexts", "nodes"))
+        for path in _paths(blob):
+            for bad in (_DELETE, *BAD_JSON_VALUES, *range(-1, longest + 2)):
+                obj = json.loads(json.dumps(blob))
+                holder = obj
+                for step in path[:-1]:
+                    holder = holder[step]
+                if bad is _DELETE:
+                    del holder[path[-1]]
+                else:
+                    holder[path[-1]] = bad
+                want = _read_outcome(reference_from_json, obj)
+                assert _read_outcome(from_json, obj) == want, (path, bad)
+                cases += want[0] != "read"
+    assert cases > 5000, cases
 
 
 def test_loads_parses_each_distinct_term_string_once(monkeypatch):
